@@ -189,9 +189,8 @@ def cmd_rn_sieve(args) -> int:
     return EXIT_OK
 
 
-def _scan_worker(payload: tuple[int, int, dict]) -> tuple[int, int, dict, int]:
-    b, delta, cfg_dict = payload
-    cfg = DeciderConfig.from_dict(cfg_dict)
+def _scan_worker(payload: tuple[int, int, DeciderConfig]) -> tuple[int, int, dict, int]:
+    b, delta, cfg = payload
     t0 = time.perf_counter()
     report = decide(delta, cfg)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -212,25 +211,53 @@ def _scan_record(b, delta, report_dict, elapsed_ms, fingerprint) -> dict:
     }
 
 
+def _load_scan_records(path: str) -> dict[int, dict]:
+    """Records of an earlier scan by delta, for resuming it.
+
+    A final line that lacks its newline and does not parse was torn by a
+    killed scan: it is cut from the file and its delta recomputed.  Any
+    other line that is not a record is a usage error naming the line.
+    """
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}")
+    lines = data.split(b"\n")  # the last item follows the last newline
+    torn = False
+    records = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            if lineno == len(lines):
+                torn = True
+                break
+            raise _UsageError(f"{path}:{lineno}: not a JSON line")
+        if (not isinstance(rec, dict) or type(rec.get("delta")) is not int
+                or not isinstance(rec.get("verdict"), str)):
+            raise _UsageError(f"{path}:{lineno}: not a scan record "
+                              "(needs an integer delta and a string verdict)")
+        records[rec["delta"]] = rec
+    # appended records must start a line of their own
+    if torn:
+        os.truncate(path, len(data) - len(lines[-1]))
+    elif lines[-1]:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+    return records
+
+
 def cmd_scan(args) -> int:
     if args.b_from < 3 or args.b_from > args.b_to:
         raise _UsageError("need 3 <= b-from <= b-to")
     cfg = _config_from(args)
     fingerprint = cfg.fingerprint()
-
-    existing: dict[int, dict] = {}
-    if os.path.exists(args.out):
-        with open(args.out, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    print(f"error: {args.out} holds a non-record line", file=sys.stderr)
-                    return EXIT_USAGE
-                existing[rec["delta"]] = rec
+    existing = _load_scan_records(args.out)
 
     todo = []
     for b in range(args.b_from, args.b_to + 1):
@@ -248,7 +275,6 @@ def cmd_scan(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg_dict = cfg.to_dict()
     new_records = {}
     with out_fh:
         def emit(b, delta, report_dict, elapsed_ms):
@@ -259,21 +285,24 @@ def cmd_scan(args) -> int:
             print(f"delta={delta} (b={b}): {rec['verdict']} [{elapsed_ms} ms]", file=sys.stderr)
 
         if args.jobs > 1 and len(todo) > 1:
-            payloads = [(b, delta, cfg_dict) for b, delta in todo]
+            payloads = [(b, delta, cfg) for b, delta in todo]
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for b, delta, rep, ms in pool.map(_scan_worker, payloads):
                     emit(b, delta, rep, ms)
         else:
             for b, delta in todo:
-                b2, d2, rep, ms = _scan_worker((b, delta, cfg_dict))
+                b2, d2, rep, ms = _scan_worker((b, delta, cfg))
                 emit(b2, d2, rep, ms)
 
-    # restore delta ordering: stale records are replaced, nothing is dropped
+    # restore delta ordering: stale records are replaced, nothing is dropped;
+    # the sorted copy replaces the file only once it is whole
     merged = dict(existing)
     merged.update(new_records)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    tmp = args.out + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         for delta in sorted(merged):
             fh.write(canonical_json(merged[delta]) + "\n")
+    os.replace(tmp, args.out)
 
     lo = args.b_from * (args.b_from - 1) // 2
     hi = args.b_to * (args.b_to - 1) // 2

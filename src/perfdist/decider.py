@@ -69,24 +69,6 @@ class DeciderConfig:
         digest = hashlib.sha256(canonical_json(self.to_dict()).encode("ascii"))
         return digest.hexdigest()[:16]
 
-    @staticmethod
-    def from_dict(obj: dict) -> "DeciderConfig":
-        from .rn import RNSolution, TableEntry
-
-        entries = tuple(
-            TableEntry(e["d"], e["c"],
-                       tuple(RNSolution(x, n) for x, n in e["solutions"]),
-                       e["source"])
-            for e in obj["table"]
-        )
-        return DeciderConfig(
-            moduli=tuple(obj["moduli"]),
-            n_max=obj["n_max"],
-            budget=BudgetConfig(**obj["budget"]),
-            exponent_cap=obj["exponent_cap"],
-            table=CompletenessTable(entries),
-        )
-
 
 DEFAULT_CONFIG = DeciderConfig()
 

@@ -5,14 +5,18 @@ Three closure mechanisms, applied in order: a curated completeness table
 rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
 residue classes of n, combined across moduli and optionally closed by the
 "n must be prime" side condition.  Whatever survives is reported open,
-with a bounded direct search attached.  Every applied rule leaves a
-certificate in the branch's rule trace.
+with a bounded search attached: it tests only the exponents below the
+sieves' common threshold and those in surviving classes, which finds every
+solution up to the bound because each sieve is sound.  `direct_search`
+remains the full-range search that tests every exponent.  Every applied
+rule leaves a certificate in the branch's rule trace.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import is_prime, is_squarefree, v2
@@ -67,16 +71,15 @@ def solution_at(eq: RNEquation, n: int) -> RNSolution | None:
     return RNSolution(r, n)
 
 
+def _solutions_at(eq: RNEquation, exponents) -> list[RNSolution]:
+    return [s for s in (solution_at(eq, n) for n in exponents) if s is not None]
+
+
 def direct_search(eq: RNEquation, n_min: int, n_max: int) -> list[RNSolution]:
     """Exactly all solutions with n in [n_min, n_max], by testing each exponent."""
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    out = []
-    for n in range(max(n_min, 0), n_max + 1):
-        s = solution_at(eq, n)
-        if s is not None:
-            out.append(s)
-    return out
+    return _solutions_at(eq, range(max(n_min, 0), n_max + 1))
 
 
 def adjacent_powers(eq: RNEquation) -> list[RNSolution] | None:
@@ -133,6 +136,7 @@ def _parity_ok(n: int, parity: str) -> bool:
     return parity != "odd" or n % 2 == 1
 
 
+@lru_cache(maxsize=None)
 def power_cycle(modulus: int) -> tuple[int, int]:
     """(n_threshold, period) of 2**n mod modulus, detected by direct iteration."""
     if modulus < 2:
@@ -148,6 +152,20 @@ def power_cycle(modulus: int) -> tuple[int, int]:
     return start, i - start
 
 
+@lru_cache(maxsize=None)
+def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(n_threshold, period, squares, cycle) for one modulus.
+
+    squares holds every x**2 mod modulus; cycle[r] is 2**n mod modulus for
+    any n = r (mod period) with n >= n_threshold, which is a function of r
+    alone because the sequence is periodic from n_threshold on.
+    """
+    threshold, period = power_cycle(modulus)
+    squares = tuple({x * x % modulus for x in range(modulus)})
+    cycle = tuple(pow(2, threshold + (r - threshold) % period, modulus) for r in range(period))
+    return threshold, period, squares, cycle
+
+
 def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -> SieveReport:
     """Sieve the residue classes of n modulo the eventual period of 2**n mod modulus.
 
@@ -158,19 +176,13 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
-    threshold, period = power_cycle(modulus)
-    reachable = {(eq.d * (x * x) + eq.c) % modulus for x in range(modulus)}
-    base = max(n_min, threshold)
-    surviving = []
-    for r in range(period):
-        if n_parity == "odd" and period % 2 == 0 and r % 2 == 0:
-            continue
-        n0 = base + (r - base) % period
-        if pow(2, n0, modulus) in reachable:
-            surviving.append(r)
+    threshold, period, squares, cycle = _modulus_tables(modulus)
+    reachable = {(eq.d * s + eq.c) % modulus for s in squares}
+    odd_only = n_parity == "odd" and period % 2 == 0
+    surviving = tuple(r for r in range(period)
+                      if cycle[r] in reachable and not (odd_only and r % 2 == 0))
     small = tuple(n for n in range(n_min, threshold) if _parity_ok(n, n_parity))
-    return SieveReport(eq, modulus, n_min, n_parity, threshold, period,
-                       tuple(surviving), small)
+    return SieveReport(eq, modulus, n_min, n_parity, threshold, period, surviving, small)
 
 
 @dataclass(frozen=True)
@@ -298,7 +310,9 @@ def analyze(eq: RNEquation,
     up to finitely many small exponents, each tested directly.  When the
     caller declares n restricted to primes, a surviving class r mod k
     with g = gcd(r, k) > 1 contains at most the single prime g and closes
-    too.  Anything else is reported open with a bounded search attached.
+    too.  Anything else is reported open with a bounded search attached:
+    the solutions with n <= n_max, found by testing only the exponents
+    below valid_from and those in surviving classes.
     """
     if not moduli:
         raise ValueError("moduli must be nonempty")
@@ -344,11 +358,10 @@ def analyze(eq: RNEquation,
         combined_period = lcm(combined_period, 2)
     # parity folding made combined_period even whenever n_parity is "odd",
     # so a residue's parity is the parity of every n in its class
-    surviving = [
-        r for r in range(combined_period)
-        if _parity_ok(r, n_parity)
-        and all(r % rep.period in rep.surviving_classes for rep in reports)
-    ]
+    surviving = [r for r in range(combined_period) if _parity_ok(r, n_parity)]
+    for rep in reports:
+        classes = set(rep.surviving_classes)
+        surviving = [r for r in surviving if r % rep.period in classes]
     trace.append({
         "rule": "sieve_combination",
         "moduli": list(moduli),
@@ -360,14 +373,11 @@ def analyze(eq: RNEquation,
     leftover = [n for n in range(n_min, valid_from) if _parity_ok(n, n_parity)]
 
     def finite_close(checks: list[int]) -> BranchStatus:
-        found = []
-        for n in sorted(set(checks)):
-            s = solution_at(eq, n)
-            if s is not None:
-                found.append(s)
+        checks = sorted(set(checks))
+        found = _solutions_at(eq, checks)
         trace.append({
             "rule": "finite_checks",
-            "n_values": sorted(set(checks)),
+            "n_values": checks,
             "solutions": [s.as_pair() for s in sorted(found)],
         })
         return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace))
@@ -398,7 +408,14 @@ def analyze(eq: RNEquation,
             extra = [c["prime_to_check"] for c in closures if c["prime_to_check"] is not None]
             return finite_close(leftover + extra)
 
-    found = [s for s in direct_search(eq, n_min, n_max) if _parity_ok(s.n, n_parity)]
+    # exact: every sieve is sound, so a solution with n >= valid_from lies
+    # in a class of `surviving`, closed prime classes included
+    exponents = [n for n in range(max(n_min, 0), min(valid_from, n_max + 1))
+                 if _parity_ok(n, n_parity)]
+    for r in surviving:
+        exponents.extend(range(valid_from + (r - valid_from) % combined_period,
+                               n_max + 1, combined_period))
+    found = _solutions_at(eq, exponents)
     trace.append({
         "rule": "direct_search",
         "n_min": n_min,

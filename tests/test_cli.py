@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from perfdist.cli import main
 from perfdist.decider import canonical_json
@@ -147,6 +150,84 @@ def test_scan_parallel_worker_pool(tmp_path, capsys):
         assert canonical_json(json.loads(line)) == line
 
 
+def _records_without_timing(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        rec.pop("elapsed_ms")
+    return records
+
+
+def test_scan_resume_recomputes_torn_final_line(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11", "--out", str(out_file))
+    finished = _records_without_timing(out_file)
+    lines = out_file.read_text().splitlines(keepends=True)
+    # a scan killed while writing its last record leaves half a line behind
+    out_file.write_text("".join(lines[:-1]) + lines[-1][:20])
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11",
+                           "--out", str(out_file))
+    assert code == 0
+    assert "delta=55 " in err and "delta=3 " not in err
+    assert _records_without_timing(out_file) == finished
+
+    # a record that is whole but lost its newline is kept, not recomputed
+    out_file.write_text(out_file.read_text().rstrip("\n"))
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11",
+                           "--out", str(out_file))
+    assert code == 0 and "delta=" not in err
+    assert _records_without_timing(out_file) == finished
+
+
+def test_scan_resume_rejects_malformed_inner_line(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11", "--out", str(out_file))
+    lines = out_file.read_text().splitlines(keepends=True)
+    out_file.write_text(lines[0][:20] + "\n" + "".join(lines[1:]))
+    before = out_file.read_bytes()
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11",
+                           "--out", str(out_file))
+    assert code == 1 and f"{out_file}:1:" in err
+    assert out_file.read_bytes() == before
+
+
+def test_scan_resume_rejects_record_without_delta(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    out_file.write_text('{"b": 3, "verdict": "eliminated"}\n')
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
+                           "--out", str(out_file))
+    assert code == 1 and f"{out_file}:1: not a scan record" in err
+
+
+def test_scan_resume_rejects_non_object_line(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    out_file.write_text('{"b": 3, "delta": 3, "verdict": "eliminated"}\n[3, 15]\n')
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
+                           "--out", str(out_file))
+    assert code == 1 and f"{out_file}:2: not a scan record" in err
+
+
+def test_scan_final_rewrite_keeps_records_if_interrupted(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "scan.jsonl"
+    run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6", "--out", str(out_file))
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    # the rewrite goes to a side file, so a crash before it replaces the
+    # record file leaves every record in place
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["scan", "--b-from", "3", "--b-to", "11", "--out", str(out_file)])
+    monkeypatch.undo()
+    deltas = [json.loads(line)["delta"] for line in out_file.read_text().splitlines()]
+    assert deltas == [3, 15, 55]
+
+    code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11",
+                         "--out", str(out_file))
+    assert code == 0
+    assert [r["delta"] for r in _records_without_timing(out_file)] == [3, 15, 55]
+
+
 def test_scan_bad_arguments(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", "--b-from", "6", "--b-to", "3",
                            "--out", str(tmp_path / "x.jsonl"))
@@ -155,6 +236,10 @@ def test_scan_bad_arguments(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "4",
                            "--out", str(tmp_path / "missing" / "x.jsonl"))
     assert code == 1 and "cannot write" in err
+
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "4",
+                           "--out", str(tmp_path))
+    assert code == 1 and "cannot read" in err
 
 
 def test_env_mirrors_flags(tmp_path, capsys, monkeypatch):

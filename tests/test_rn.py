@@ -1,12 +1,16 @@
+import itertools
 import random
 
 import pytest
 
+from perfdist.arith import is_squarefree
 from perfdist.rn import (
     BUILTIN_TABLE,
+    DEFAULT_MODULI,
     CompletenessTable,
     RNEquation,
     RNSolution,
+    SieveReport,
     TableEntry,
     adjacent_powers,
     analyze,
@@ -148,6 +152,32 @@ def test_sieve_soundness_random():
                     assert n % report_odd.period in report_odd.surviving_classes, (eq, m, x, n)
 
 
+def _per_class_sieve(eq, m, n_min, n_parity):
+    # reference: one pow(2, n0, m) per class, reachable set from every x mod m
+    threshold, period = power_cycle(m)
+    reachable = {(eq.d * (x * x) + eq.c) % m for x in range(m)}
+    base = max(n_min, threshold)
+    surviving = []
+    for r in range(period):
+        if n_parity == "odd" and period % 2 == 0 and r % 2 == 0:
+            continue
+        n0 = base + (r - base) % period
+        if pow(2, n0, m) in reachable:
+            surviving.append(r)
+    small = tuple(n for n in range(n_min, threshold) if n_parity != "odd" or n % 2 == 1)
+    return SieveReport(eq, m, n_min, n_parity, threshold, period, tuple(surviving), small)
+
+
+def test_sieve_tables_match_per_class_powers():
+    rng = random.Random(5)
+    for eq in random_equations(13, 400, d_max=200, c_max=10**6):
+        m = rng.randrange(2, 131)
+        n_min = rng.randrange(0, 21)
+        for parity in ("any", "odd"):
+            assert sieve(eq, m, n_min, parity) == _per_class_sieve(eq, m, n_min, parity), \
+                (eq, m, n_min, parity)
+
+
 def test_builtin_table():
     assert BUILTIN_TABLE.lookup(5, 3).solutions == (RNSolution(1, 3), RNSolution(5, 7))
     assert BUILTIN_TABLE.lookup(2, 6).solutions == (RNSolution(1, 3),)
@@ -225,6 +255,35 @@ def test_analyze_open_route():
     assert st.status == "open"
     assert {(s.x, s.n) for s in st.solutions} == {(1, 3), (3, 4), (5, 5), (11, 7), (181, 15)}
     assert st.rule_trace[-1]["rule"] == "direct_search"
+
+
+def test_analyze_open_search_matches_full_range_search():
+    # an open branch tests only exponents below valid_from and in surviving
+    # classes; the full-range direct search is the reference
+    rng = random.Random(61)
+    planted = []  # equations built around a solution (x, n), half of them with n <= 20
+    while len(planted) < 60:
+        n = rng.randrange(1, 21 if len(planted) % 2 else 151)
+        d, x = rng.randrange(1, 60), rng.randrange(1, 1000)
+        c = (1 << n) - d * x * x
+        if c != 0 and is_squarefree(d):
+            planted.append(RNEquation(d, c))
+    open_branches = with_solutions = 0
+    cases = itertools.product(random_equations(61, 40, d_max=60, c_max=500) + planted,
+                              (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13)), (0, 2, 7, 61),
+                              ("any", "odd"), (False, True))
+    for eq, moduli, n_min, parity, primes_only in cases:
+        for n_max in (300, n_min + 4):
+            st = analyze(eq, n_min, parity, moduli, n_max, primes_only=primes_only)
+            if st.status != "open":
+                continue
+            open_branches += 1
+            with_solutions += bool(st.solutions)
+            expected = tuple(sorted(s for s in direct_search(eq, max(n_min, 0), n_max)
+                                    if parity != "odd" or s.n % 2 == 1))
+            assert st.solutions == expected, (eq, moduli, n_min, parity, n_max)
+            assert st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected]
+    assert open_branches > 2000 and with_solutions > 800
 
 
 def test_analyze_validation():
