@@ -4,8 +4,8 @@ Subcommands: `decide` for a single delta, `rn solve` / `rn sieve` for raw
 equation tooling, `scan` for resumable batch surveys over triangular
 indices, and `verify-pair`.  Exit codes: 0 eliminated / success, 1 usage
 error, 2 inconclusive or out of scope (or a failed pair check), 3
-solution found.  Flags mirror environment variables with the PERFDIST_
-prefix; --json switches every command to the stable record format.
+solution found.  Each subcommand takes only the flags it reads; --json
+switches a command to the stable record format.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import os
 import sys
 import time
 
-from .arith import BudgetConfig, FactorBudgetError
+from .arith import DEFAULT_BUDGET, BudgetConfig, FactorBudgetError
 from .decider import DeciderConfig, canonical_json, decide, verify_pair
-from .mersenne import DEFAULT_EXPONENT_CAP
 from .rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
@@ -35,8 +34,6 @@ EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
 EXIT_SOLUTION = 3
 
-ENV_PREFIX = "PERFDIST_"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; the contract here is 1
@@ -47,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _env(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _parse_moduli(text: str) -> tuple[int, ...]:
@@ -66,28 +59,28 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
 def _config_from(args) -> DeciderConfig:
     table = BUILTIN_TABLE
     if args.table:
-        table = load_table(args.table)
-    return DeciderConfig(
-        moduli=_parse_moduli(args.moduli),
-        n_max=args.n_max,
-        budget=BudgetConfig(rho_iteration_budget=args.factor_budget),
-        exponent_cap=DEFAULT_EXPONENT_CAP,
-        table=table,
-    )
+        try:
+            table = load_table(args.table)
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.table}: {exc}")
+    budget = BudgetConfig(rho_iteration_budget=args.factor_budget)
+    return DeciderConfig(moduli=_parse_moduli(args.moduli), budget=budget, table=table)
+
+
+def _add_budget_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--factor-budget", type=int, default=DEFAULT_BUDGET.rho_iteration_budget,
+                   help="iteration budget for factorization beyond trial division")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=int(_env("N_MAX", DEFAULT_N_MAX)),
-                   help="exponent bound for direct searches (default 2000)")
-    p.add_argument("--moduli", default=_env("MODULI", ",".join(map(str, DEFAULT_MODULI))),
+    p.add_argument("--moduli", default=",".join(map(str, DEFAULT_MODULI)),
                    help="comma-separated sieve moduli")
-    p.add_argument("--factor-budget", type=int,
-                   default=int(_env("FACTOR_BUDGET", BudgetConfig().rho_iteration_budget)),
-                   help="iteration budget for factorization beyond trial division")
-    p.add_argument("--table", default=_env("TABLE", None),
-                   help="path to a completeness-table file (JSON lines)")
+    _add_budget_flag(p)
+    p.add_argument("--table", help="path to a completeness-table file (JSON lines)")
+
+
+def _add_json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
-                   default=os.environ.get(ENV_PREFIX + "JSON", "") not in ("", "0"),
                    help="emit the machine-readable record instead of text")
 
 
@@ -189,23 +182,18 @@ def cmd_rn_sieve(args) -> int:
     return EXIT_OK
 
 
-def _scan_worker(payload: tuple[int, int, DeciderConfig]) -> tuple[int, int, dict, int]:
-    b, delta, cfg = payload
+def _scan_worker(payload: tuple[int, int, DeciderConfig, str]) -> dict:
+    """The scan record of one delta; elapsed_ms times decide alone."""
+    b, delta, cfg, fingerprint = payload
     t0 = time.perf_counter()
     report = decide(delta, cfg)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return b, delta, report.to_dict(), elapsed_ms
-
-
-def _scan_record(b, delta, report_dict, elapsed_ms, fingerprint) -> dict:
     return {
         "b": b,
         "delta": delta,
-        "verdict": report_dict["verdict"],
-        "branches": [
-            {"side": br["side"], "d": br["d"], "status": br.get("status")}
-            for br in report_dict["branches"]
-        ],
+        "verdict": report.verdict,
+        "branches": [{"side": br.side, "d": br.d, "status": br.status.status}
+                     for br in report.branches],
         "elapsed_ms": elapsed_ms,
         "config_fingerprint": fingerprint,
     }
@@ -267,32 +255,29 @@ def cmd_scan(args) -> int:
         prior = existing.get(delta)
         if prior is not None and prior.get("config_fingerprint") == fingerprint:
             continue
-        todo.append((b, delta))
+        todo.append((b, delta, cfg, fingerprint))
 
     try:
         out_fh = open(args.out, "a", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"cannot write {args.out}: {exc}")
 
     new_records = {}
     with out_fh:
-        def emit(b, delta, report_dict, elapsed_ms):
-            rec = _scan_record(b, delta, report_dict, elapsed_ms, fingerprint)
-            new_records[delta] = rec
+        def emit(rec):
+            new_records[rec["delta"]] = rec
             out_fh.write(canonical_json(rec) + "\n")
             out_fh.flush()
-            print(f"delta={delta} (b={b}): {rec['verdict']} [{elapsed_ms} ms]", file=sys.stderr)
+            print(f"delta={rec['delta']} (b={rec['b']}): {rec['verdict']} "
+                  f"[{rec['elapsed_ms']} ms]", file=sys.stderr)
 
         if args.jobs > 1 and len(todo) > 1:
-            payloads = [(b, delta, cfg) for b, delta in todo]
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for b, delta, rep, ms in pool.map(_scan_worker, payloads):
-                    emit(b, delta, rep, ms)
+                for rec in pool.map(_scan_worker, todo):
+                    emit(rec)
         else:
-            for b, delta in todo:
-                b2, d2, rep, ms = _scan_worker((b, delta, cfg))
-                emit(b2, d2, rep, ms)
+            for rec in map(_scan_worker, todo):
+                emit(rec)
 
     # restore delta ordering: stale records are replaced, nothing is dropped;
     # the sorted copy replaces the file only once it is whole
@@ -314,7 +299,7 @@ def cmd_scan(args) -> int:
 def cmd_verify_pair(args) -> int:
     if args.x < 1 or args.y < 1:
         raise _UsageError("verify-pair requires positive integers")
-    check = verify_pair(args.x, args.y, _config_from(args))
+    check = verify_pair(args.x, args.y, BudgetConfig(rho_iteration_budget=args.factor_budget))
     if args.json:
         print(canonical_json(check.to_dict()))
     else:
@@ -334,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="run the decision procedure for one delta")
     p_decide.add_argument("delta", help="positive odd integer")
     _add_config_flags(p_decide)
+    _add_json_flag(p_decide)
     p_decide.set_defaults(func=cmd_decide)
 
     p_rn = sub.add_parser("rn", help="raw equation tooling for d*x^2 + c = 2^n")
@@ -342,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = rn_sub.add_parser("solve", help="list all solutions with n <= n-max")
     p_solve.add_argument("d", type=int)
     p_solve.add_argument("c", type=int)
-    _add_config_flags(p_solve)
+    p_solve.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+                         help="exponent bound for the search (default 2000)")
+    _add_json_flag(p_solve)
     p_solve.set_defaults(func=cmd_rn_solve)
 
     p_sieve = rn_sub.add_parser("sieve", help="residue-class analysis at one modulus")
@@ -351,15 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--modulus", type=int, required=True)
     p_sieve.add_argument("--n-min", type=int, default=0)
     p_sieve.add_argument("--n-parity", choices=("any", "odd"), default="any")
-    _add_config_flags(p_sieve)
+    _add_json_flag(p_sieve)
     p_sieve.set_defaults(func=cmd_rn_sieve)
 
     p_scan = sub.add_parser("scan", help="decide every delta = b(b-1)/2 = 3 mod 4 in a range")
     p_scan.add_argument("--b-from", type=int, required=True)
     p_scan.add_argument("--b-to", type=int, required=True)
-    p_scan.add_argument("--out", default=_env("SCAN_OUT", "scan.jsonl"),
+    p_scan.add_argument("--out", default="scan.jsonl",
                         help="record file, one JSON object per delta (default scan.jsonl)")
-    p_scan.add_argument("--jobs", type=int, default=int(_env("JOBS", 1)),
+    p_scan.add_argument("--jobs", type=int, default=1,
                         help="concurrent decisions (default 1)")
     _add_config_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
@@ -367,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair = sub.add_parser("verify-pair", help="check perfectness of two integers")
     p_pair.add_argument("x", type=int)
     p_pair.add_argument("y", type=int)
-    _add_config_flags(p_pair)
+    _add_budget_flag(p_pair)
+    _add_json_flag(p_pair)
     p_pair.set_defaults(func=cmd_verify_pair)
 
     return parser
@@ -378,10 +367,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FactorBudgetError) as exc:
+    except (_UsageError, ValueError, FactorBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -48,20 +48,23 @@ def canonical_json(obj) -> str:
 
 @dataclass(frozen=True)
 class DeciderConfig:
-    """Everything decide() depends on besides delta; hashed into a fingerprint."""
+    """Everything decide() depends on besides delta; hashed into a fingerprint.
+
+    `n_max` and `exponent_cap` are the fixed constants `rn.DEFAULT_N_MAX` and
+    `mersenne.DEFAULT_EXPONENT_CAP`, still hashed so that changing either
+    one invalidates scan records made before it.
+    """
 
     moduli: tuple[int, ...] = DEFAULT_MODULI
-    n_max: int = DEFAULT_N_MAX
     budget: BudgetConfig = DEFAULT_BUDGET
-    exponent_cap: int = mersenne.DEFAULT_EXPONENT_CAP
     table: CompletenessTable = BUILTIN_TABLE
 
     def to_dict(self) -> dict:
         return {
             "moduli": list(self.moduli),
-            "n_max": self.n_max,
+            "n_max": DEFAULT_N_MAX,
             "budget": self.budget.to_dict(),
-            "exponent_cap": self.exponent_cap,
+            "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
             "table": self.table.to_dict(),
         }
 
@@ -222,7 +225,7 @@ class CandidateCheck:
 
 def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> CandidateCheck:
     """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta)."""
-    cand = mersenne.classify(p, cfg.exponent_cap)
+    cand = mersenne.classify(p)
     if cand.status != "prime":
         return CandidateCheck(p, cand.status)
     m = mersenne.even_perfect(p)
@@ -257,12 +260,12 @@ class PairCheck:
         }
 
 
-def verify_pair(x: int, y: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> PairCheck:
+def verify_pair(x: int, y: int, budget: BudgetConfig = DEFAULT_BUDGET) -> PairCheck:
     """Report whether x and y are both perfect, and |x - y|."""
     if x < 1 or y < 1:
         raise ValueError("verify_pair requires positive integers")
-    xs = is_perfect(x, cfg.budget)
-    ys = is_perfect(y, cfg.budget)
+    xs = is_perfect(x, budget)
+    ys = is_perfect(y, budget)
     return PairCheck(x, y, xs, ys, xs == "perfect" and ys == "perfect", abs(x - y))
 
 
@@ -381,7 +384,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     branches = []
     for br in gen.branches:
         status = analyze(br.equation, n_min=p_min, n_parity=n_parity,
-                         moduli=cfg.moduli, n_max=cfg.n_max, table=cfg.table,
+                         moduli=cfg.moduli, n_max=DEFAULT_N_MAX, table=cfg.table,
                          primes_only=True)
         branches.append(replace(br, status=status))
         if status.status == "open":

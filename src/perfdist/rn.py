@@ -136,6 +136,11 @@ def _parity_ok(n: int, parity: str) -> bool:
     return parity != "odd" or n % 2 == 1
 
 
+def _exponents(lo: int, hi: int, parity: str) -> range:
+    # the n in [lo, hi) of the given parity, for lo >= 0
+    return range(lo | 1, hi, 2) if parity == "odd" else range(lo, hi)
+
+
 @lru_cache(maxsize=None)
 def power_cycle(modulus: int) -> tuple[int, int]:
     """(n_threshold, period) of 2**n mod modulus, detected by direct iteration."""
@@ -176,12 +181,14 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
+    if n_min < 0:
+        raise ValueError(f"n_min must be >= 0, got {n_min}")
     threshold, period, squares, cycle = _modulus_tables(modulus)
     reachable = {(eq.d * s + eq.c) % modulus for s in squares}
     odd_only = n_parity == "odd" and period % 2 == 0
     surviving = tuple(r for r in range(period)
                       if cycle[r] in reachable and not (odd_only and r % 2 == 0))
-    small = tuple(n for n in range(n_min, threshold) if _parity_ok(n, n_parity))
+    small = tuple(_exponents(n_min, threshold, n_parity))
     return SieveReport(eq, modulus, n_min, n_parity, threshold, period, surviving, small)
 
 
@@ -244,8 +251,8 @@ BUILTIN_TABLE = CompletenessTable((
 ))
 
 
-def load_table(path: str, base: CompletenessTable = BUILTIN_TABLE) -> CompletenessTable:
-    """Read table entries from a JSON-lines file and merge them over `base`.
+def load_table(path: str) -> CompletenessTable:
+    """Read table entries from a JSON-lines file and merge them over BUILTIN_TABLE.
 
     One object per line: {"d": int, "c": int, "solutions": [[x, n], ...],
     "source": str}.  Blank lines and lines starting with # are skipped.
@@ -268,7 +275,7 @@ def load_table(path: str, base: CompletenessTable = BUILTIN_TABLE) -> Completene
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad table entry: {exc}") from exc
             entries.append(entry)
-    return base.merged_with(tuple(entries))
+    return BUILTIN_TABLE.merged_with(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -316,6 +323,8 @@ def analyze(eq: RNEquation,
     """
     if not moduli:
         raise ValueError("moduli must be nonempty")
+    if n_min < 0:
+        raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
 
@@ -358,7 +367,7 @@ def analyze(eq: RNEquation,
         combined_period = lcm(combined_period, 2)
     # parity folding made combined_period even whenever n_parity is "odd",
     # so a residue's parity is the parity of every n in its class
-    surviving = [r for r in range(combined_period) if _parity_ok(r, n_parity)]
+    surviving = list(_exponents(0, combined_period, n_parity))
     for rep in reports:
         classes = set(rep.surviving_classes)
         surviving = [r for r in surviving if r % rep.period in classes]
@@ -370,7 +379,7 @@ def analyze(eq: RNEquation,
         "surviving_classes": surviving,
     })
 
-    leftover = [n for n in range(n_min, valid_from) if _parity_ok(n, n_parity)]
+    leftover = list(_exponents(n_min, valid_from, n_parity))
 
     def finite_close(checks: list[int]) -> BranchStatus:
         checks = sorted(set(checks))
@@ -410,8 +419,7 @@ def analyze(eq: RNEquation,
 
     # exact: every sieve is sound, so a solution with n >= valid_from lies
     # in a class of `surviving`, closed prime classes included
-    exponents = [n for n in range(max(n_min, 0), min(valid_from, n_max + 1))
-                 if _parity_ok(n, n_parity)]
+    exponents = list(_exponents(n_min, min(valid_from, n_max + 1), n_parity))
     for r in surviving:
         exponents.extend(range(valid_from + (r - valid_from) % combined_period,
                                n_max + 1, combined_period))

@@ -76,6 +76,10 @@ def test_rn_sieve(capsys):
                            "--n-min", "2", "--json")
     assert json.loads(out)["surviving_classes"] == []
 
+    code, out, err = run_cli(capsys, "rn", "sieve", "1", "-5", "--modulus", "8",
+                             "--n-min", "-2", "--json")
+    assert code == 1 and out == "" and "n_min must be >= 0" in err
+
 
 def test_verify_pair(capsys):
     code, out, _ = run_cli(capsys, "verify-pair", "28", "6")
@@ -115,7 +119,7 @@ def test_scan_resume_is_idempotent(tmp_path, capsys):
 
     # config change refreshes the affected records without duplication
     code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "11",
-                         "--out", str(out_file), "--n-max", "500")
+                         "--out", str(out_file), "--factor-budget", "5000000")
     records = [json.loads(line) for line in out_file.read_text().splitlines()]
     deltas = [r["delta"] for r in records]
     assert deltas == sorted(set(deltas)) == [3, 15, 55]
@@ -242,12 +246,6 @@ def test_scan_bad_arguments(tmp_path, capsys):
     assert code == 1 and "cannot read" in err
 
 
-def test_env_mirrors_flags(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PERFDIST_N_MAX", "150")
-    code, out, _ = run_cli(capsys, "rn", "solve", "5", "3", "--json")
-    assert json.loads(out)["n_max"] == 150
-
-
 def test_custom_table_flag(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
     table.write_text('{"d": 3, "c": 5, "solutions": [[1, 3], [3, 5]], "source": "fixture"}\n')
@@ -255,6 +253,20 @@ def test_custom_table_flag(tmp_path, capsys):
     assert code == 0
     default_fp = json.loads(run_cli(capsys, "decide", "15", "--json")[1])["config_fingerprint"]
     assert json.loads(out)["config_fingerprint"] != default_fp
+
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        code, _, err = run_cli(capsys, "decide", "15", "--table", str(path))
+        assert code == 1 and f"cannot read {path}: " in err
+        code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
+                               "--out", str(tmp_path / "scan.jsonl"), "--table", str(path))
+        assert code == 1 and f"cannot read {path}: " in err
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    code, _, err = run_cli(capsys, "verify-pair", "28", "6", "--table", "x")
+    assert code == 1 and "--table" in err
+    code, _, err = run_cli(capsys, "rn", "sieve", "1", "6", "--modulus", "3", "--n-max", "5")
+    assert code == 1 and "--n-max" in err
 
 
 def test_module_execution_entry():

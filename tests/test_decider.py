@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,8 +178,7 @@ def test_decide_deterministic_output():
 
 
 def test_decide_verdict_monotone_under_larger_config():
-    bigger = DeciderConfig(moduli=DEFAULT_CONFIG.moduli + (128, 17, 25),
-                           n_max=4000)
+    bigger = DeciderConfig(moduli=DEFAULT_CONFIG.moduli + (128, 17, 25))
     for delta in (3, 15):
         assert decide(delta, bigger).verdict == "eliminated"
 
@@ -211,9 +211,25 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
 
 
 def test_config_fingerprint_tracks_content():
-    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint()
-    other = DeciderConfig(n_max=999)
+    # scan records made under this fingerprint are reused on resume
+    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "ac6dee2574285228"
+    other = DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999))
     assert other.fingerprint() != DEFAULT_CONFIG.fingerprint()
+
+
+def test_reports_are_byte_identical_to_pinned_digest():
+    """One SHA-256 over every in-scope report for b in 3..299, in order.
+
+    Refactors must leave reports byte-identical.  A change that alters
+    reports on purpose updates this constant and says so in CHANGES.md.
+    """
+    digest = hashlib.sha256()
+    for b in range(3, 300):
+        delta = b * (b - 1) // 2
+        if delta % 4 == 3:
+            digest.update(decide(delta).to_json().encode("ascii") + b"\n")
+    assert digest.hexdigest() == \
+        "ff87c3a83af300bee79988049dc65f7175006fcfb54ab08b02d918ff18f75291"
 
 
 def test_report_serialization_roundtrip():

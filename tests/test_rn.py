@@ -135,6 +135,8 @@ def test_sieve_small_n_listing():
     assert r.small_n_to_check == (1, 2, 3)
     r = sieve(RNEquation(1, -5), 16, n_min=1, n_parity="odd")
     assert r.small_n_to_check == (1, 3)
+    with pytest.raises(ValueError, match="n_min"):
+        sieve(RNEquation(1, -5), 8, n_min=-2)
 
 
 def test_sieve_soundness_random():
@@ -291,6 +293,10 @@ def test_analyze_validation():
         analyze(RNEquation(5, 3), moduli=())
     with pytest.raises(ValueError):
         analyze(RNEquation(5, 3), n_min=10, n_max=5)
+    # a negative n_min is rejected before any rule runs, open branch or not
+    for eq in (RNEquation(1, -5), RNEquation(5, 3)):
+        with pytest.raises(ValueError, match="n_min"):
+            analyze(eq, n_min=-2)
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
