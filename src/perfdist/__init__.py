@@ -36,7 +36,7 @@ from .decider import (
     generate_branches,
     verify_pair,
 )
-from .mersenne import KNOWN_MERSENNE_EXPONENTS, MersenneCandidate, even_perfect, lucas_lehmer
+from .mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect, lucas_lehmer
 from .rn import (
     BUILTIN_TABLE,
     BranchStatus,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -84,16 +85,6 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
                    help="emit the machine-readable record instead of text")
 
 
-def _parse_delta(text: str) -> int:
-    try:
-        delta = int(text)
-    except ValueError:
-        raise _UsageError(f"delta must be an integer, got {text!r}")
-    if delta < 1 or delta % 2 == 0:
-        raise _UsageError(f"delta must be a positive odd integer, got {delta}")
-    return delta
-
-
 def _render_decision(report) -> str:
     lines = [f"delta = {report.delta}"]
     ca = report.case_analysis
@@ -133,21 +124,13 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_decide(args) -> int:
-    delta = _parse_delta(args.delta)
-    report = decide(delta, _config_from(args))
+    report = decide(args.delta, _config_from(args))
     print(report.to_json() if args.json else _render_decision(report))
     return _verdict_exit(report.verdict)
 
 
-def _parse_equation(args) -> RNEquation:
-    try:
-        return RNEquation(args.d, args.c)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-
-
 def cmd_rn_solve(args) -> int:
-    eq = _parse_equation(args)
+    eq = RNEquation(args.d, args.c)
     solutions = direct_search(eq, 0, args.n_max)
     if args.json:
         print(canonical_json({
@@ -165,7 +148,7 @@ def cmd_rn_solve(args) -> int:
 
 
 def cmd_rn_sieve(args) -> int:
-    eq = _parse_equation(args)
+    eq = RNEquation(args.d, args.c)
     report = sieve(eq, args.modulus, args.n_min, args.n_parity)
     if args.json:
         print(canonical_json(report.to_dict()))
@@ -182,9 +165,9 @@ def cmd_rn_sieve(args) -> int:
     return EXIT_OK
 
 
-def _scan_worker(payload: tuple[int, int, DeciderConfig, str]) -> dict:
-    """The scan record of one delta; elapsed_ms times decide alone."""
-    b, delta, cfg, fingerprint = payload
+def _scan_record(cfg: DeciderConfig, fingerprint: str, b: int) -> dict:
+    """The scan record of delta = b(b-1)/2; elapsed_ms times decide alone."""
+    delta = b * (b - 1) // 2
     t0 = time.perf_counter()
     report = decide(delta, cfg)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -243,6 +226,8 @@ def _load_scan_records(path: str) -> dict[int, dict]:
 def cmd_scan(args) -> int:
     if args.b_from < 3 or args.b_from > args.b_to:
         raise _UsageError("need 3 <= b-from <= b-to")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _config_from(args)
     fingerprint = cfg.fingerprint()
     existing = _load_scan_records(args.out)
@@ -255,7 +240,7 @@ def cmd_scan(args) -> int:
         prior = existing.get(delta)
         if prior is not None and prior.get("config_fingerprint") == fingerprint:
             continue
-        todo.append((b, delta, cfg, fingerprint))
+        todo.append(b)
 
     try:
         out_fh = open(args.out, "a", encoding="utf-8")
@@ -271,12 +256,16 @@ def cmd_scan(args) -> int:
             print(f"delta={rec['delta']} (b={rec['b']}): {rec['verdict']} "
                   f"[{rec['elapsed_ms']} ms]", file=sys.stderr)
 
+        record = functools.partial(_scan_record, cfg, fingerprint)
         if args.jobs > 1 and len(todo) > 1:
+            # about four chunks per worker: few pickles, yet a slow chunk
+            # still leaves the other workers something to take
+            chunksize = -(-len(todo) // (4 * args.jobs))
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for rec in pool.map(_scan_worker, todo):
+                for rec in pool.map(record, todo, chunksize=chunksize):
                     emit(rec)
         else:
-            for rec in map(_scan_worker, todo):
+            for rec in map(record, todo):
                 emit(rec)
 
     # restore delta ordering: stale records are replaced, nothing is dropped;
@@ -297,8 +286,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_pair(args) -> int:
-    if args.x < 1 or args.y < 1:
-        raise _UsageError("verify-pair requires positive integers")
     check = verify_pair(args.x, args.y, BudgetConfig(rho_iteration_budget=args.factor_budget))
     if args.json:
         print(canonical_json(check.to_dict()))
@@ -317,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decide = sub.add_parser("decide", help="run the decision procedure for one delta")
-    p_decide.add_argument("delta", help="positive odd integer")
+    p_decide.add_argument("delta", type=int, help="positive odd integer")
     _add_config_flags(p_decide)
     _add_json_flag(p_decide)
     p_decide.set_defaults(func=cmd_decide)

@@ -223,21 +223,25 @@ class CandidateCheck:
         }
 
 
+def _ep_value(p: int) -> int:
+    # candidate even-perfect value at exponent p, no primality assumed
+    return (1 << (p - 1)) * ((1 << p) - 1)
+
+
 def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> CandidateCheck:
     """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta)."""
-    cand = mersenne.classify(p)
-    if cand.status != "prime":
-        return CandidateCheck(p, cand.status)
-    m = mersenne.even_perfect(p)
+    status = mersenne.classify(p)
+    if status != "prime":
+        return CandidateCheck(p, status)
+    m = _ep_value(p)
     n_cand = m - delta
     if n_cand < 1:
         return CandidateCheck(p, "prime", m, n_cand)
     euler = euler_form_filter(n_cand, cfg.budget)
     perfect = is_perfect(n_cand, cfg.budget)
     f = factorize(n_cand, cfg.budget)
-    probable = tuple(q for q, _ in f.factors
-                     if q >= DETERMINISTIC_PRIMALITY_BOUND
-                     and is_prime(q, cfg.budget) == "probably_prime")
+    # factorize admits a factor this large only once is_prime says "probably_prime"
+    probable = tuple(q for q, _ in f.factors if q >= DETERMINISTIC_PRIMALITY_BOUND)
     return CandidateCheck(p, "prime", m, n_cand, euler, perfect, f.to_dict(), probable)
 
 
@@ -299,11 +303,6 @@ class DecisionReport:
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
-
-
-def _ep_value(p: int) -> int:
-    # candidate even-perfect value at exponent p, no primality assumed
-    return (1 << (p - 1)) * ((1 << p) - 1)
 
 
 def _min_exponent(delta: int) -> int:

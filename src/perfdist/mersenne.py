@@ -7,30 +7,17 @@ the Lucas-Lehmer test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import is_prime
 
-# Mersenne exponents up to 31; a fast-path/oracle table only, certificates
-# always come from running the test itself.
+# Mersenne exponents up to 31: an oracle table for cross-checks only; no
+# verdict reads it, every status comes from running the test itself.
 KNOWN_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31)
 
 # Lucas-Lehmer on 2**p - 1 costs p-2 squarings of p-bit numbers; the cap
 # keeps a single call bounded without FFT multiplication.
 DEFAULT_EXPONENT_CAP = 10007
-
-
-@dataclass(frozen=True)
-class MersenneCandidate:
-    """An exponent p with the test status of 2**p - 1."""
-
-    p: int
-    status: str  # "prime" | "composite" | "untested"
-
-    def __post_init__(self) -> None:
-        if self.status == "prime" and is_prime(self.p) != "prime":
-            raise ValueError("a Mersenne prime forces a prime exponent")
 
 
 def _mod_mersenne(x: int, p: int, m: int) -> int:
@@ -41,8 +28,8 @@ def _mod_mersenne(x: int, p: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def lucas_lehmer(p: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> str:
-    """Lucas-Lehmer test: "prime" iff 2**p - 1 is prime, for odd prime p >= 3.
+def lucas_lehmer(p: int) -> str:
+    """Lucas-Lehmer test: "prime" iff 2**p - 1 is prime, for odd prime 3 <= p <= the cap.
 
     Iterates s <- s**2 - 2 modulo 2**p - 1 from s = 4; 2**p - 1 is prime
     exactly when the (p-2)-th iterate vanishes.
@@ -51,8 +38,8 @@ def lucas_lehmer(p: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> str:
         raise ValueError("p = 2 is handled by the caller as the special value 3")
     if p < 3 or is_prime(p) != "prime":
         raise ValueError(f"lucas_lehmer requires an odd prime exponent, got {p}")
-    if p > exponent_cap:
-        raise ValueError(f"exponent {p} exceeds the configured cap {exponent_cap}")
+    if p > DEFAULT_EXPONENT_CAP:
+        raise ValueError(f"exponent {p} exceeds the cap {DEFAULT_EXPONENT_CAP}")
     m = (1 << p) - 1
     s = 4
     for _ in range(p - 2):
@@ -60,25 +47,20 @@ def lucas_lehmer(p: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> str:
     return "prime" if s == 0 else "composite"
 
 
-def classify(p: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> MersenneCandidate:
-    """Test 2**p - 1 for prime p; "untested" when p exceeds the exponent cap."""
+def classify(p: int) -> str:
+    """Status of 2**p - 1 for prime p: "prime", "composite", or "untested" above the cap."""
     if is_prime(p) != "prime":
         raise ValueError(f"Mersenne exponents must be prime, got {p}")
     if p == 2:
-        return MersenneCandidate(2, "prime")  # 2**2 - 1 = 3
-    if p > exponent_cap:
-        return MersenneCandidate(p, "untested")
-    return MersenneCandidate(p, lucas_lehmer(p, exponent_cap))
+        return "prime"  # 2**2 - 1 = 3
+    if p > DEFAULT_EXPONENT_CAP:
+        return "untested"
+    return lucas_lehmer(p)
 
 
 def even_perfect(p: int) -> int:
-    """The even perfect number 2**(p-1) * (2**p - 1); verifies 2**p - 1 is prime first.
-
-    Exponents in the compiled-in table skip the test as a fast path;
-    certificates elsewhere always come from running Lucas-Lehmer itself.
-    """
-    if p == 2:
-        return 6
-    if p not in KNOWN_MERSENNE_EXPONENTS and lucas_lehmer(p) != "prime":
-        raise ValueError(f"2**{p} - 1 is not prime; no even perfect number at this exponent")
+    """The even perfect number 2**(p-1) * (2**p - 1); classifies 2**p - 1 first."""
+    status = classify(p)
+    if status != "prime":
+        raise ValueError(f"2**{p} - 1 is {status}; no even perfect number at this exponent")
     return (1 << (p - 1)) * ((1 << p) - 1)

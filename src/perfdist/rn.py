@@ -23,6 +23,9 @@ from .arith import is_prime, is_squarefree, v2
 
 DEFAULT_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 32, 64)
 DEFAULT_N_MAX = 2000
+# power_cycle and the per-modulus tables cost time and memory linear in
+# the modulus; a larger one would run for minutes before any answer.
+MAX_MODULUS = 10**6
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,8 @@ def _exponents(lo: int, hi: int, parity: str) -> range:
 @lru_cache(maxsize=None)
 def power_cycle(modulus: int) -> tuple[int, int]:
     """(n_threshold, period) of 2**n mod modulus, detected by direct iteration."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
+    if not 2 <= modulus <= MAX_MODULUS:
+        raise ValueError(f"modulus must be between 2 and {MAX_MODULUS}, got {modulus}")
     seen: dict[int, int] = {}
     v = 1 % modulus
     i = 0

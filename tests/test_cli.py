@@ -26,7 +26,10 @@ def test_decide_exit_codes(capsys):
     assert code == 1 and "odd" in err
 
     code, _, err = run_cli(capsys, "decide", "x")
-    assert code == 1
+    assert code == 1 and "invalid int value" in err
+
+    code, _, err = run_cli(capsys, "decide", "-3")
+    assert code == 1 and "odd" in err
 
     code, out, _ = run_cli(capsys, "decide", "9")
     assert code == 2 and "out_of_scope" in out
@@ -80,6 +83,9 @@ def test_rn_sieve(capsys):
                              "--n-min", "-2", "--json")
     assert code == 1 and out == "" and "n_min must be >= 0" in err
 
+    code, out, err = run_cli(capsys, "rn", "sieve", "1", "6", "--modulus", "1000001")
+    assert code == 1 and out == "" and "modulus must be between 2 and 1000000" in err
+
 
 def test_verify_pair(capsys):
     code, out, _ = run_cli(capsys, "verify-pair", "28", "6")
@@ -93,7 +99,7 @@ def test_verify_pair(capsys):
     assert code == 0 and rec["both_perfect"] and rec["distance"] == 8100
 
     code, _, err = run_cli(capsys, "verify-pair", "0", "6")
-    assert code == 1
+    assert code == 1 and "positive" in err
 
 
 def test_scan_basic(tmp_path, capsys):
@@ -245,6 +251,13 @@ def test_scan_bad_arguments(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 1 and "cannot read" in err
 
+    # rejected before any record is computed, so no worker pool starts
+    for jobs in ("0", "-3"):
+        out_file = tmp_path / f"jobs{jobs}.jsonl"
+        code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "14",
+                               "--out", str(out_file), "--jobs", jobs)
+        assert code == 1 and "--jobs must be >= 1" in err and not out_file.exists()
+
 
 def test_custom_table_flag(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
@@ -282,3 +295,6 @@ def test_moduli_flag_accepts_comma_list(capsys):
 
     code, _, err = run_cli(capsys, "decide", "15", "--moduli", "3,oops")
     assert code == 1
+
+    code, out, err = run_cli(capsys, "decide", "15", "--moduli", "3,1000001")
+    assert code == 1 and out == "" and "modulus must be between 2 and 1000000" in err

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from perfdist.arith import BudgetConfig, is_perfect, squarefree_divisors
+from perfdist.arith import BudgetConfig, is_perfect, is_prime, squarefree_divisors
 from perfdist.decider import (
     DEFAULT_CONFIG,
     DeciderConfig,
@@ -13,7 +13,7 @@ from perfdist.decider import (
     generate_branches,
     verify_pair,
 )
-from perfdist.mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect
+from perfdist.mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect, lucas_lehmer
 
 from oracles import divisor_sum_naive
 
@@ -94,6 +94,24 @@ def test_check_candidate_examples():
 
     c = check_candidate(11, 55)
     assert c.mersenne_status == "composite" and c.outcome == "eliminated"
+
+
+def test_check_candidate_runs_lucas_lehmer_once():
+    lucas_lehmer.cache_clear()
+    assert check_candidate(61, 3).mersenne_status == "prime"
+    info = lucas_lehmer.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_check_candidate_reports_probable_prime_factors():
+    # q is the least probable prime above 10^30, past the deterministic bound
+    q = 10**30 + 57
+    assert is_prime(q) == "probably_prime"
+    assert all(is_prime(10**30 + k) == "composite" for k in range(1, 57))
+    m = even_perfect(89)
+    c = check_candidate(89, m - q)
+    assert c.n_candidate == q and c.probable_prime_factors == (q,)
+    assert c.outcome == "eliminated"
 
 
 def test_decide_3():

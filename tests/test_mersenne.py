@@ -3,7 +3,6 @@ import pytest
 from perfdist.arith import is_perfect, is_prime
 from perfdist.mersenne import (
     KNOWN_MERSENNE_EXPONENTS,
-    MersenneCandidate,
     classify,
     even_perfect,
     lucas_lehmer,
@@ -37,22 +36,16 @@ def test_lucas_lehmer_rejects_bad_exponents():
     with pytest.raises(ValueError):
         lucas_lehmer(1)
     with pytest.raises(ValueError):
-        lucas_lehmer(13, exponent_cap=11)
+        lucas_lehmer(10009)  # the next prime above the cap
 
 
 def test_classify():
-    assert classify(2) == MersenneCandidate(2, "prime")
-    assert classify(11).status == "composite"
-    assert classify(13).status == "prime"
-    assert classify(10007, exponent_cap=100).status == "untested"
+    assert classify(2) == "prime"
+    assert classify(11) == "composite"
+    assert classify(13) == "prime"
+    assert classify(10009) == "untested"
     with pytest.raises(ValueError):
         classify(9)
-
-
-def test_mersenne_candidate_invariant():
-    with pytest.raises(ValueError):
-        MersenneCandidate(9, "prime")
-    MersenneCandidate(9, "untested")
 
 
 def test_even_perfect_examples():
