@@ -187,13 +187,23 @@ def is_prime(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
     return "probably_prime"
 
 
-def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Strip prime factors up to min(bound, isqrt(n)) using a 6k+-1 wheel."""
+def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int]:
+    """Strip prime factors up to min(bound, isqrt(n)) using a 6k+-1 wheel.
+
+    A cofactor above bound**2 that is_prime does not call composite has no
+    prime factor up to the bound, so the wheel stops there.  The test runs
+    before the wheel and after each division, never per wheel step; below
+    bound**2 the wheel's own isqrt stop comes first.
+    """
+    bound = cfg.trial_division_bound
+    bound_sq = bound * bound
     found: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
+    if n > bound_sq and is_prime(n, cfg) != "composite":
+        return found, n
     p = 5
     while p <= bound and p * p <= n:
         for q in (p, p + 2):
@@ -202,6 +212,8 @@ def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
             while n % q == 0:
                 found[q] = found.get(q, 0) + 1
                 n //= q
+                if n > bound_sq and is_prime(n, cfg) != "composite":
+                    return found, n
         p += 6
     return found, n
 
@@ -262,7 +274,7 @@ def factorize(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> Factorization:
     if n == 1:
         return Factorization(1, (), True)
 
-    found, rest = _trial_divide(n, cfg.trial_division_bound)
+    found, rest = _trial_divide(n, cfg)
 
     budget = [cfg.rho_iteration_budget]
     unfactored = 1

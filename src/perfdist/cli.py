@@ -92,7 +92,7 @@ def _render_decision(report) -> str:
                  f"mod 4 = {ca.mod4_class}, triangular index b = {ca.b}")
     if report.delta_plus_6_check:
         d6 = report.delta_plus_6_check
-        lines.append(f"  delta + 6 = {d6['value']}: {d6['perfect_status']}")
+        lines.append(f"  delta + 6 = {d6['value']}: {d6['perfect_status']} [{d6['rule']}]")
     for br in report.branches:
         sols = ", ".join(f"(x={s.x}, n={s.n})" for s in br.status.solutions) or "none"
         if br.status.status == "closed_complete":
@@ -107,8 +107,9 @@ def _render_decision(report) -> str:
         if cand.mersenne_status != "prime":
             lines.append(f"  candidate p={cand.p}: 2^p - 1 {cand.mersenne_status}")
         else:
+            via = cand.rule if cand.euler_filter is None else f"{cand.rule}, euler {cand.euler_filter}"
             lines.append(f"  candidate p={cand.p}: m = {cand.m}, m - delta = {cand.n_candidate}: "
-                         f"euler {cand.euler_filter}, {cand.perfect_status} -> {cand.outcome}")
+                         f"{cand.perfect_status} [{via}] -> {cand.outcome}")
     for obs in report.obstructions:
         lines.append(f"  obstruction: {obs}")
     lines.append(f"verdict: {report.verdict}")

@@ -5,8 +5,10 @@ distance between perfect numbers), scope check (the method needs delta
 triangular and 3 mod 4), the delta+6 perfectness check, branch generation
 over squarefree divisors with 2-adic parity pruning, equation analysis
 with n restricted to primes, and verification of every candidate exponent
-through the Lucas-Lehmer / divisor-sum pipeline.  The report carries
-enough certificates to re-check the verdict independently.
+through Lucas-Lehmer and a perfectness check.  Both perfectness checks are
+on odd numbers and try the cheapest rule first: the Ochem-Rao bound, then
+the divisor sum from a factorization.  The report carries enough
+certificates to re-check the verdict independently.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ from .rn import (
 )
 
 
+# Ochem and Rao proved that every odd perfect number exceeds 10**1500, so an
+# odd n below it is not perfect.  A proven theorem, not a setting: it is not
+# a DeciderConfig field, but to_dict() hashes it.
+ODD_PERFECT_LOG10_BOUND = 1500
+ODD_PERFECT_SOURCE = ("P. Ochem and M. Rao, Odd perfect numbers are greater than 10^1500, "
+                      "Math. Comp. 81 (2012), 1869-1877")
+_ODD_PERFECT_LIMIT = 10**ODD_PERFECT_LOG10_BOUND
+
+
+def _below_odd_perfect_bound(n: int) -> bool:
+    return n % 2 == 1 and n < _ODD_PERFECT_LIMIT
+
+
 def canonical_json(obj) -> str:
     """Stable serialization: sorted keys, compact separators, ASCII only."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -50,9 +65,10 @@ def canonical_json(obj) -> str:
 class DeciderConfig:
     """Everything decide() depends on besides delta; hashed into a fingerprint.
 
-    `n_max` and `exponent_cap` are the fixed constants `rn.DEFAULT_N_MAX` and
-    `mersenne.DEFAULT_EXPONENT_CAP`, still hashed so that changing either
-    one invalidates scan records made before it.
+    `n_max`, `exponent_cap` and `odd_perfect_log10_bound` are the fixed
+    constants `rn.DEFAULT_N_MAX`, `mersenne.DEFAULT_EXPONENT_CAP` and
+    `ODD_PERFECT_LOG10_BOUND`, still hashed so that changing any one of them
+    invalidates scan records made before it.
     """
 
     moduli: tuple[int, ...] = DEFAULT_MODULI
@@ -65,6 +81,7 @@ class DeciderConfig:
             "n_max": DEFAULT_N_MAX,
             "budget": self.budget.to_dict(),
             "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
+            "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,
             "table": self.table.to_dict(),
         }
 
@@ -196,6 +213,7 @@ class CandidateCheck:
     perfect_status: str | None = None
     factorization: dict | None = None
     probable_prime_factors: tuple[int, ...] = ()
+    rule: str | None = None  # "odd_perfect_bound" | "divisor_sum" once m - delta >= 1
 
     @property
     def outcome(self) -> str:
@@ -219,6 +237,7 @@ class CandidateCheck:
             "perfect_status": self.perfect_status,
             "factorization": self.factorization,
             "probable_prime_factors": list(self.probable_prime_factors),
+            "rule": self.rule,
             "outcome": self.outcome,
         }
 
@@ -229,7 +248,11 @@ def _ep_value(p: int) -> int:
 
 
 def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> CandidateCheck:
-    """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta)."""
+    """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta).
+
+    m - delta is odd for odd delta; below 10**1500 the Ochem-Rao bound
+    settles it with no factoring, above it the divisor sum does.
+    """
     status = mersenne.classify(p)
     if status != "prime":
         return CandidateCheck(p, status)
@@ -237,12 +260,23 @@ def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> 
     n_cand = m - delta
     if n_cand < 1:
         return CandidateCheck(p, "prime", m, n_cand)
+    if _below_odd_perfect_bound(n_cand):
+        return CandidateCheck(p, "prime", m, n_cand, perfect_status="not_perfect",
+                              rule="odd_perfect_bound")
     euler = euler_form_filter(n_cand, cfg.budget)
     perfect = is_perfect(n_cand, cfg.budget)
     f = factorize(n_cand, cfg.budget)
     # factorize admits a factor this large only once is_prime says "probably_prime"
     probable = tuple(q for q, _ in f.factors if q >= DETERMINISTIC_PRIMALITY_BOUND)
-    return CandidateCheck(p, "prime", m, n_cand, euler, perfect, f.to_dict(), probable)
+    return CandidateCheck(p, "prime", m, n_cand, euler, perfect, f.to_dict(), probable,
+                          "divisor_sum")
+
+
+def _delta_plus_6_check(delta: int, budget: BudgetConfig) -> dict:
+    value = delta + 6
+    if _below_odd_perfect_bound(value):
+        return {"value": value, "perfect_status": "not_perfect", "rule": "odd_perfect_bound"}
+    return {"value": value, "perfect_status": is_perfect(value, budget), "rule": "divisor_sum"}
 
 
 @dataclass(frozen=True)
@@ -330,16 +364,22 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     }
 
     def report(verdict, d6=None, branches=(), candidates=(), obstructions=()):
+        rules = [d6["rule"]] if d6 else []
+        rules += [c.rule for c in candidates]
+        if "odd_perfect_bound" in rules:
+            certificates["odd_perfect_bound"] = {
+                "log10_bound": ODD_PERFECT_LOG10_BOUND,
+                "statement": f"every odd perfect number exceeds 10^{ODD_PERFECT_LOG10_BOUND}",
+                "source": ODD_PERFECT_SOURCE,
+            }
         return DecisionReport(delta, ca, d6, tuple(branches), tuple(candidates),
                               verdict, certificates, tuple(obstructions), cfg)
 
     if ca.touchard_blocked:
         certificates["touchard"]["conclusion"] = (
             "delta = +-1 mod 12 can never be a distance between two perfect numbers")
-        d6_value = delta + 6
-        d6_status = is_perfect(d6_value, cfg.budget)
-        d6 = {"value": d6_value, "perfect_status": d6_status}
-        if d6_status == "perfect":  # unreachable if the mod-12 theorem holds
+        d6 = _delta_plus_6_check(delta, cfg.budget)
+        if d6["perfect_status"] == "perfect":  # unreachable if the mod-12 theorem holds
             return report("solution_found", d6)
         return report("eliminated", d6)
 
@@ -353,14 +393,12 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
 
     obstructions: list[str] = []
 
-    d6_value = delta + 6
-    d6_status = is_perfect(d6_value, cfg.budget)
-    d6 = {"value": d6_value, "perfect_status": d6_status}
-    if d6_status == "perfect":
-        certificates["exhibited_pair"] = [d6_value, 6]
+    d6 = _delta_plus_6_check(delta, cfg.budget)
+    if d6["perfect_status"] == "perfect":
+        certificates["exhibited_pair"] = [d6["value"], 6]
         return report("solution_found", d6)
-    if d6_status == "unknown":
-        obstructions.append(f"perfectness of delta + 6 = {d6_value} unknown within factor budget")
+    if d6["perfect_status"] == "unknown":
+        obstructions.append(f"perfectness of delta + 6 = {d6['value']} unknown within factor budget")
 
     assert ca.b is not None
     try:

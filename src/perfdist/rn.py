@@ -161,6 +161,22 @@ def power_cycle(modulus: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _combined_period(moduli: tuple[int, ...], n_parity: str) -> int:
+    """lcm of the moduli's periods, made even when n must be odd.
+
+    analyze lists every residue of this period, so it is bounded like a
+    single modulus.
+    """
+    period = lcm(*[power_cycle(m)[1] for m in moduli])
+    if n_parity == "odd":
+        period = lcm(period, 2)
+    if period > MAX_MODULUS:
+        raise ValueError(f"moduli {list(moduli)} have a combined period of {period}, "
+                         f"above {MAX_MODULUS}")
+    return period
+
+
+@lru_cache(maxsize=None)
 def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(n_threshold, period, squares, cycle) for one modulus.
 
@@ -330,6 +346,7 @@ def analyze(eq: RNEquation,
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
+    combined_period = _combined_period(tuple(moduli), n_parity)
 
     def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
         return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
@@ -365,9 +382,6 @@ def analyze(eq: RNEquation,
     trace.extend(r.to_dict() for r in reports)
 
     valid_from = max([n_min] + [r.n_threshold for r in reports])
-    combined_period = lcm(*[r.period for r in reports])
-    if n_parity == "odd":
-        combined_period = lcm(combined_period, 2)
     # parity folding made combined_period even whenever n_parity is "odd",
     # so a residue's parity is the parity of every n in its class
     surviving = list(_exponents(0, combined_period, n_parity))

@@ -43,7 +43,8 @@ def test_criterion_1_decide_3(capsys):
     code, rep, elapsed = _cli_decide(capsys, "3")
 
     ok = code == 0 and rep["verdict"] == "eliminated" and elapsed < 5.0
-    ok &= rep["delta_plus_6"] == {"value": 9, "perfect_status": "not_perfect"}
+    ok &= rep["delta_plus_6"] == {"value": 9, "perfect_status": "not_perfect",
+                                  "rule": "odd_perfect_bound"}
 
     branches = _branch_map(rep)
     ok &= set(branches) == {("A", 2), ("A", 10), ("B", 1), ("B", 5)}

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from perfdist import arith
 from perfdist.arith import (
     BudgetConfig,
     DETERMINISTIC_PRIMALITY_BOUND,
@@ -131,6 +132,62 @@ def test_factorize_budget_exhaustion():
     assert f.cofactor == n
     full = factorize(n)
     assert full.complete and full.factors == ((HARD_P, 1), (HARD_Q, 1))
+
+
+def _full_wheel(n: int, cfg: BudgetConfig, monkeypatch) -> tuple[dict, int]:
+    # trial division with the prime-cofactor exit switched off
+    with monkeypatch.context() as m:
+        m.setattr(arith, "is_prime", lambda *_: "composite")
+        return arith._trial_divide(n, cfg)
+
+
+def test_trial_division_early_exit_matches_full_wheel(monkeypatch):
+    cfg = BudgetConfig(trial_division_bound=1000)  # the exit needs a cofactor above 10^6
+    big = 10**30 + 57  # a probable prime
+    cases = {
+        "large prime times small primes": (big * 2**5 * 3 * 7**2 * 997,
+                                           {2: 5, 3: 1, 7: 2, 997: 1, big: 1}),
+        "prime power above bound^2": (997**7, {997: 7}),
+        "prime power times a large prime": (991**3 * big, {991: 3, big: 1}),
+        "two primes near the bound": (997 * 1009, {997: 1, 1009: 1}),
+        "two primes above the bound": (1009 * 1013, {1009: 1, 1013: 1}),
+        "composite cofactor": (5 * 1009 * 1013 * 1019, {5: 1, 1009: 1, 1013: 1, 1019: 1}),
+        "composite cofactor with a large prime": (3 * 7 * 1013 * big,
+                                                  {3: 1, 7: 1, 1013: 1, big: 1}),
+    }
+    for name, (n, expected) in cases.items():
+        assert arith._trial_divide(n, cfg) == _full_wheel(n, cfg, monkeypatch), name
+        # factorize goes on from (found, rest) alone, so its result is the same too
+        f = factorize(n, cfg)
+        assert f.complete and dict(f.factors) == expected, name
+
+
+def test_trial_division_stops_at_a_prime_cofactor(monkeypatch):
+    big = 10**30 + 57
+    asked = []
+    said = {}  # verdicts the spy reports in place of is_prime's
+
+    def spy(n, cfg=arith.DEFAULT_BUDGET):
+        asked.append(n)
+        return said.get(n) or is_prime(n, cfg)
+
+    monkeypatch.setattr(arith, "is_prime", spy)
+    # checked once after 2 and 3 are stripped: the wheel never starts
+    assert arith._trial_divide(12 * big, arith.DEFAULT_BUDGET) == ({2: 2, 3: 1}, big)
+    assert asked == [big]
+    # any verdict but "composite" stops the wheel, shown here by one that
+    # leaves the factor 1009 unfound
+    for verdict in ("prime", "probably_prime"):
+        said[1009 * big] = verdict
+        assert arith._trial_divide(1009 * big, arith.DEFAULT_BUDGET) == ({}, 1009 * big)
+        assert arith._trial_divide(5 * 1009 * big, arith.DEFAULT_BUDGET) == ({5: 1}, 1009 * big)
+    # checked after each division, and not while the cofactor is below bound^2
+    asked.clear()
+    assert arith._trial_divide(5**3 * 7 * big, arith.DEFAULT_BUDGET) == ({5: 3, 7: 1}, big)
+    assert asked == [5**3 * 7 * big, 5**2 * 7 * big, 5 * 7 * big, 7 * big, big]
+    asked.clear()
+    assert arith._trial_divide(5**3 * 1009, arith.DEFAULT_BUDGET) == ({5: 3}, 1009)
+    assert asked == []
 
 
 def test_factorize_random_reconstruction():

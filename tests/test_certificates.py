@@ -165,6 +165,15 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         assert exact_solution(d, c, s[1]) == s
 
 
+def check_perfectness(report: dict, entry: dict, value: int) -> None:
+    """An odd value below 10^1500 is not perfect (Ochem and Rao, 2012)."""
+    assert entry["rule"] in ("odd_perfect_bound", "divisor_sum")
+    if entry["rule"] == "odd_perfect_bound":
+        assert entry["perfect_status"] == "not_perfect"
+        assert value % 2 == 1 and value < 10**1500
+        assert report["certificates"]["odd_perfect_bound"]["log10_bound"] == 1500
+
+
 def check_report(report: dict) -> None:
     delta = report["delta"]
     assert delta >= 1 and delta % 2 == 1
@@ -174,6 +183,7 @@ def check_report(report: dict) -> None:
     assert touchard["blocked"] == (delta % 12 in (1, 11))
     if touchard["blocked"]:
         assert report["verdict"] == "eliminated"
+        check_perfectness(report, report["delta_plus_6"], delta + 6)
         return
 
     b = report["case_analysis"]["b"]
@@ -183,6 +193,7 @@ def check_report(report: dict) -> None:
     assert d6["value"] == delta + 6
     if d6["perfect_status"] == "not_perfect":
         assert naive_sigma(delta + 6) != 2 * (delta + 6)
+    check_perfectness(report, d6, delta + 6)
 
     floor = report["certificates"]["exponent_floor"]
     p_min, parity = floor["p_min"], floor["n_parity"]
@@ -230,6 +241,7 @@ def check_report(report: dict) -> None:
         assert cand["m"] == m and cand["n_candidate"] == m - delta
         if cand["perfect_status"] == "not_perfect":
             assert naive_sigma(m - delta) != 2 * (m - delta)
+        check_perfectness(report, cand, m - delta)
 
     if report["verdict"] == "eliminated":
         assert d6["perfect_status"] == "not_perfect"

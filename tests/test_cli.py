@@ -18,6 +18,10 @@ def run_cli(capsys, *argv):
 def test_decide_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "decide", "15")
     assert code == 0 and "verdict: eliminated" in out
+    # the text names the rule that settled delta + 6 and each candidate
+    assert "delta + 6 = 21: not_perfect [odd_perfect_bound]" in out
+    assert "m - delta = 13: not_perfect [odd_perfect_bound] -> eliminated" in out
+    assert "euler None" not in out
 
     code, out, _ = run_cli(capsys, "decide", "11")
     assert code == 0
@@ -298,3 +302,8 @@ def test_moduli_flag_accepts_comma_list(capsys):
 
     code, out, err = run_cli(capsys, "decide", "15", "--moduli", "3,1000001")
     assert code == 1 and out == "" and "modulus must be between 2 and 1000000" in err
+
+    # each modulus 2^k - 1 is small, but their periods k combine to 12252240
+    big = ",".join(str((1 << k) - 1) for k in (5, 7, 9, 11, 13, 16, 17))
+    code, out, err = run_cli(capsys, "decide", "15", "--moduli", big)
+    assert code == 1 and out == "" and "combined period of 12252240, above 1000000" in err

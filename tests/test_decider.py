@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from perfdist.arith import BudgetConfig, is_perfect, is_prime, squarefree_divisors
+from perfdist.arith import BudgetConfig, factorize, is_perfect, is_prime, squarefree_divisors
 from perfdist.decider import (
     DEFAULT_CONFIG,
+    ODD_PERFECT_LOG10_BOUND,
     DeciderConfig,
     case_analysis,
     check_candidate,
@@ -82,7 +83,9 @@ def test_check_candidate_examples():
 
     c = check_candidate(3, 3)
     assert (c.m, c.n_candidate, c.perfect_status) == (28, 25, "not_perfect")
-    assert c.euler_filter == "impossible"  # 25 = 5^2 has no odd exponent
+    # the odd-perfect bound settles 25 before the mod-4 test or any factoring
+    assert c.rule == "odd_perfect_bound"
+    assert c.euler_filter is None and c.factorization is None
 
     c = check_candidate(3, 15)
     assert (c.m, c.n_candidate, c.perfect_status) == (28, 13, "not_perfect")
@@ -104,20 +107,60 @@ def test_check_candidate_runs_lucas_lehmer_once():
 
 
 def test_check_candidate_reports_probable_prime_factors():
-    # q is the least probable prime above 10^30, past the deterministic bound
+    # q is the least probable prime above 10^30, past the deterministic bound;
+    # the factor 5^2150 lifts n above 10^1500, where factoring decides
     q = 10**30 + 57
     assert is_prime(q) == "probably_prime"
     assert all(is_prime(10**30 + k) == "composite" for k in range(1, 57))
-    m = even_perfect(89)
-    c = check_candidate(89, m - q)
-    assert c.n_candidate == q and c.probable_prime_factors == (q,)
-    assert c.outcome == "eliminated"
+    n = q * 5**2150
+    assert n > 10**ODD_PERFECT_LOG10_BOUND
+    m = even_perfect(3217)
+    c = check_candidate(3217, m - n)
+    assert c.n_candidate == n and c.rule == "divisor_sum"
+    assert c.factorization["factors"] == [[5, 2150], [q, 1]]
+    assert c.probable_prime_factors == (q,)
+    assert c.perfect_status == "not_perfect" and c.outcome == "eliminated"
+
+
+def test_check_candidate_settles_by_odd_perfect_bound():
+    # b = 2^55 + 3 forces the candidate p = 107; its m - delta has 61 digits
+    b = (1 << 55) + 3
+    delta = b * (b - 1) // 2
+    factorize.cache_clear()
+    c = check_candidate(107, delta)
+    assert c.mersenne_status == "prime" and c.n_candidate % 2 == 1
+    assert (c.rule, c.perfect_status, c.outcome) == ("odd_perfect_bound", "not_perfect", "eliminated")
+    assert c.euler_filter is None and c.factorization is None
+    assert factorize.cache_info().misses == 0
+
+
+def test_odd_perfect_bound_boundary():
+    limit = 10**ODD_PERFECT_LOG10_BOUND
+    m = even_perfect(3217)
+    # a starved budget keeps the factoring above the bound short
+    starved = DeciderConfig(budget=BudgetConfig(trial_division_bound=100,
+                                                rho_iteration_budget=1,
+                                                primality_rounds=2))
+    factorize.cache_clear()
+    below = check_candidate(3217, m - (limit - 1), starved)
+    assert below.n_candidate == limit - 1
+    assert (below.rule, below.perfect_status) == ("odd_perfect_bound", "not_perfect")
+    assert factorize.cache_info().misses == 0
+
+    above = check_candidate(3217, m - (limit + 1), starved)
+    assert above.n_candidate == limit + 1 and above.rule == "divisor_sum"
+    assert factorize.cache_info().misses == 1
+    assert above.factorization["value"] == limit + 1
+    assert not above.factorization["complete"] and above.perfect_status == "unknown"
+    assert above.outcome == "unresolved"
 
 
 def test_decide_3():
     rep = decide(3)
     assert rep.verdict == "eliminated"
-    assert rep.delta_plus_6_check == {"value": 9, "perfect_status": "not_perfect"}
+    assert rep.delta_plus_6_check == {"value": 9, "perfect_status": "not_perfect",
+                                      "rule": "odd_perfect_bound"}
+    assert rep.certificates["odd_perfect_bound"]["log10_bound"] == ODD_PERFECT_LOG10_BOUND
     by_key = {(br.side, br.d): br for br in rep.branches}
     assert set(by_key) == {("A", 2), ("A", 10), ("B", 1), ("B", 5)}
     assert by_key[("A", 2)].status.status == "closed_complete"
@@ -211,7 +254,8 @@ def test_decide_inconclusive_names_obstruction():
 
 def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
     # 2*(2b - 1) = 2 * (hard semiprime): branch generation cannot enumerate
-    # squarefree divisors under a starved budget, and delta + 6 is unknowable
+    # squarefree divisors under a starved budget; delta + 6 needs no budget,
+    # because it is odd and below the odd-perfect bound
     semiprime = 1_000_033 * 1_000_037
     b = (semiprime + 1) // 2
     delta = b * (b - 1) // 2
@@ -222,7 +266,8 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
     rep = decide(delta, starved)
     assert rep.verdict == "inconclusive"
     assert any("squarefree divisors" in obs for obs in rep.obstructions)
-    assert any("delta + 6" in obs for obs in rep.obstructions)
+    assert not any("delta + 6" in obs for obs in rep.obstructions)
+    assert rep.delta_plus_6_check["rule"] == "odd_perfect_bound"
 
     # small inputs stay decidable even under the same starved budget
     assert decide(15, starved).verdict == "eliminated"
@@ -230,7 +275,9 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
 
 def test_config_fingerprint_tracks_content():
     # scan records made under this fingerprint are reused on resume
-    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "ac6dee2574285228"
+    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "811c540fe1e649bb"
+    # the odd-perfect bound is a hashed constant, not a field
+    assert DEFAULT_CONFIG.to_dict()["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
     other = DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999))
     assert other.fingerprint() != DEFAULT_CONFIG.fingerprint()
 
@@ -247,7 +294,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "ff87c3a83af300bee79988049dc65f7175006fcfb54ab08b02d918ff18f75291"
+        "afd4113b8a406325932ea1951008bfbab364f6bd56201ea724d5fdf801d285b2"
 
 
 def test_report_serialization_roundtrip():

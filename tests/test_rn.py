@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from perfdist.arith import is_squarefree
 from perfdist.rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
+    MAX_MODULUS,
     CompletenessTable,
     RNEquation,
     RNSolution,
@@ -297,6 +299,25 @@ def test_analyze_validation():
     for eq in (RNEquation(1, -5), RNEquation(5, 3)):
         with pytest.raises(ValueError, match="n_min"):
             analyze(eq, n_min=-2)
+    # 2^k - 1 has period k: periods 5, 7, 9, 11, 13, 16 and 17 have lcm
+    # 12252240, above MAX_MODULUS, though each modulus is small
+    big = tuple((1 << k) - 1 for k in (5, 7, 9, 11, 13, 16, 17))
+    assert [power_cycle(m) for m in big] == [(0, k) for k in (5, 7, 9, 11, 13, 16, 17)]
+    assert lcm(5, 7, 9, 11, 13, 16, 17) > MAX_MODULUS
+    for eq in (RNEquation(1, -1), RNEquation(5, 3)):
+        with pytest.raises(ValueError, match="combined period of 12252240"):
+            analyze(eq, moduli=big)
+    # odd periods 5, 7, 9, 11, 13, 17 combine to 765765, which fits until odd
+    # n fold in a factor 2
+    odd_periods = tuple((1 << k) - 1 for k in (5, 7, 9, 11, 13, 17))
+    assert analyze(RNEquation(1, -1), moduli=odd_periods).status == "closed_complete"
+    with pytest.raises(ValueError, match="combined period of 1531530"):
+        analyze(RNEquation(1, -1), moduli=odd_periods, n_parity="odd")
+    # the default moduli combine to period 60; L = 720720 = lcm(16, 9, 5, 7, 11, 13) fits
+    trace = analyze(RNEquation(1, -5)).rule_trace
+    assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == 60
+    l720720 = tuple((1 << k) - 1 for k in (16, 9, 5, 7, 11, 13))
+    assert analyze(RNEquation(1, -1), moduli=l720720).status == "closed_complete"
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
