@@ -187,13 +187,15 @@ def is_prime(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
     return "probably_prime"
 
 
-def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int]:
+def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int, bool]:
     """Strip prime factors up to min(bound, isqrt(n)) using a 6k+-1 wheel.
 
     A cofactor above bound**2 that is_prime does not call composite has no
-    prime factor up to the bound, so the wheel stops there.  The test runs
-    before the wheel and after each division, never per wheel step; below
-    bound**2 the wheel's own isqrt stop comes first.
+    prime factor up to the bound, so the wheel stops there, and the third
+    value says so: the cofactor is then a (probable) prime that needs no
+    second test.  The test runs before the wheel and after each division,
+    never per wheel step; below bound**2 the wheel's own isqrt stop comes
+    first.
     """
     bound = cfg.trial_division_bound
     bound_sq = bound * bound
@@ -203,7 +205,7 @@ def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int]:
             found[p] = found.get(p, 0) + 1
             n //= p
     if n > bound_sq and is_prime(n, cfg) != "composite":
-        return found, n
+        return found, n, True
     p = 5
     while p <= bound and p * p <= n:
         for q in (p, p + 2):
@@ -213,9 +215,9 @@ def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int]:
                 found[q] = found.get(q, 0) + 1
                 n //= q
                 if n > bound_sq and is_prime(n, cfg) != "composite":
-                    return found, n
+                    return found, n, True
         p += 6
-    return found, n
+    return found, n, False
 
 
 def _brent_rho(n: int, budget: list[int]) -> int | None:
@@ -274,7 +276,10 @@ def factorize(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> Factorization:
     if n == 1:
         return Factorization(1, (), True)
 
-    found, rest = _trial_divide(n, cfg)
+    found, rest, rest_is_prime = _trial_divide(n, cfg)
+    if rest_is_prime:
+        found[rest] = 1  # above bound**2, so no factor found so far equals it
+        rest = 1
 
     budget = [cfg.rho_iteration_budget]
     unfactored = 1
@@ -313,6 +318,32 @@ def is_perfect(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
     if not f.complete:
         return "unknown"
     return "perfect" if sigma(f) == 2 * n else "not_perfect"
+
+
+def order_of_two(m: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> int:
+    """ord_m(2), the least k >= 1 with 2**k = 1 (mod m), for odd m >= 1.
+
+    The order divides phi(m), so it is phi(m) with each prime of phi(m)
+    divided out for as long as 2 stays a root of unity.  Needs complete
+    factorizations of m and phi(m).
+    """
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"order_of_two requires an odd m >= 1, got {m}")
+
+    def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+        f = factorize(n, cfg)
+        if not f.complete:
+            raise FactorBudgetError(f"cannot find ord_{m}(2): factorization of {n} incomplete")
+        return f.factors
+
+    phi = 1
+    for q, e in prime_powers(m):
+        phi *= (q - 1) * q ** (e - 1)
+    order = phi
+    for q, _ in prime_powers(phi):
+        while order % q == 0 and pow(2, order // q, m) == 1:
+            order //= q
+    return order
 
 
 def triangular_index(delta: int) -> int | None:

@@ -105,7 +105,8 @@ def _render_decision(report) -> str:
                      f"[{via}]; solutions: {sols}")
     for cand in report.candidates:
         if cand.mersenne_status != "prime":
-            lines.append(f"  candidate p={cand.p}: 2^p - 1 {cand.mersenne_status}")
+            factor = "" if cand.mersenne_factor is None else f" (factor {cand.mersenne_factor})"
+            lines.append(f"  candidate p={cand.p}: 2^p - 1 {cand.mersenne_status}{factor}")
         else:
             via = cand.rule if cand.euler_filter is None else f"{cand.rule}, euler {cand.euler_filter}"
             lines.append(f"  candidate p={cand.p}: m = {cand.m}, m - delta = {cand.n_candidate}: "

@@ -5,9 +5,9 @@ distance between perfect numbers), scope check (the method needs delta
 triangular and 3 mod 4), the delta+6 perfectness check, branch generation
 over squarefree divisors with 2-adic parity pruning, equation analysis
 with n restricted to primes, and verification of every candidate exponent
-through Lucas-Lehmer and a perfectness check.  Both perfectness checks are
-on odd numbers and try the cheapest rule first: the Ochem-Rao bound, then
-the divisor sum from a factorization.  The report carries enough
+(a small-factor search on 2^p - 1, then Lucas-Lehmer, then a perfectness
+check).  Both perfectness checks are on odd numbers and try the cheapest
+rule first: the Ochem-Rao bound, then the divisor sum from a factorization.  The report carries enough
 certificates to re-check the verdict independently.
 """
 
@@ -214,6 +214,7 @@ class CandidateCheck:
     factorization: dict | None = None
     probable_prime_factors: tuple[int, ...] = ()
     rule: str | None = None  # "odd_perfect_bound" | "divisor_sum" once m - delta >= 1
+    mersenne_factor: int | None = None  # a factor of 2**p - 1 certifying "composite"
 
     @property
     def outcome(self) -> str:
@@ -231,6 +232,7 @@ class CandidateCheck:
         return {
             "p": self.p,
             "mersenne_status": self.mersenne_status,
+            "mersenne_factor": self.mersenne_factor,
             "m": self.m,
             "n_candidate": self.n_candidate,
             "euler_filter": self.euler_filter,
@@ -250,12 +252,16 @@ def _ep_value(p: int) -> int:
 def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> CandidateCheck:
     """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta).
 
-    m - delta is odd for odd delta; below 10**1500 the Ochem-Rao bound
-    settles it with no factoring, above it the divisor sum does.
+    2**p - 1 is "composite" with its factor when `mersenne.small_factor`
+    finds one (cached, so classify's search is not repeated), and then
+    Lucas-Lehmer never runs.  m - delta is odd for odd delta; below
+    10**1500 the Ochem-Rao bound settles it with no factoring, above it
+    the divisor sum does.
     """
     status = mersenne.classify(p)
     if status != "prime":
-        return CandidateCheck(p, status)
+        factor = mersenne.small_factor(p) if status == "composite" else None
+        return CandidateCheck(p, status, mersenne_factor=factor)
     m = _ep_value(p)
     n_cand = m - delta
     if n_cand < 1:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .arith import is_prime, is_squarefree, v2
+from .arith import is_prime, is_squarefree, order_of_two, v2
 
 DEFAULT_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 32, 64)
 DEFAULT_N_MAX = 2000
-# power_cycle and the per-modulus tables cost time and memory linear in
-# the modulus; a larger one would run for minutes before any answer.
+# the per-modulus tables cost time and memory linear in the modulus; a
+# larger one would run for minutes before any answer.
 MAX_MODULUS = 10**6
 
 
@@ -146,18 +146,16 @@ def _exponents(lo: int, hi: int, parity: str) -> range:
 
 @lru_cache(maxsize=None)
 def power_cycle(modulus: int) -> tuple[int, int]:
-    """(n_threshold, period) of 2**n mod modulus, detected by direct iteration."""
+    """(n_threshold, period) of 2**n mod modulus, without iterating.
+
+    For modulus = 2**t * m with m odd, 2**n mod 2**t is 0 exactly from
+    n = t on, and 2**n mod m is purely periodic with period ord_m(2); so
+    the threshold is t and the period is that order.
+    """
     if not 2 <= modulus <= MAX_MODULUS:
         raise ValueError(f"modulus must be between 2 and {MAX_MODULUS}, got {modulus}")
-    seen: dict[int, int] = {}
-    v = 1 % modulus
-    i = 0
-    while v not in seen:
-        seen[v] = i
-        v = v * 2 % modulus
-        i += 1
-    start = seen[v]
-    return start, i - start
+    t = v2(modulus)
+    return t, order_of_two(modulus >> t)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from perfdist.arith import (
     is_prime,
     is_square,
     is_squarefree,
+    order_of_two,
     sigma,
     squarefree_divisors,
     triangular_index,
@@ -134,7 +135,7 @@ def test_factorize_budget_exhaustion():
     assert full.complete and full.factors == ((HARD_P, 1), (HARD_Q, 1))
 
 
-def _full_wheel(n: int, cfg: BudgetConfig, monkeypatch) -> tuple[dict, int]:
+def _full_wheel(n: int, cfg: BudgetConfig, monkeypatch) -> tuple[dict, int, bool]:
     # trial division with the prime-cofactor exit switched off
     with monkeypatch.context() as m:
         m.setattr(arith, "is_prime", lambda *_: "composite")
@@ -156,8 +157,10 @@ def test_trial_division_early_exit_matches_full_wheel(monkeypatch):
                                                   {3: 1, 7: 1, 1013: 1, big: 1}),
     }
     for name, (n, expected) in cases.items():
-        assert arith._trial_divide(n, cfg) == _full_wheel(n, cfg, monkeypatch), name
-        # factorize goes on from (found, rest) alone, so its result is the same too
+        found, rest, rest_is_prime = arith._trial_divide(n, cfg)
+        assert (found, rest) == _full_wheel(n, cfg, monkeypatch)[:2], name
+        assert rest_is_prime == (rest == big), name
+        # factorize goes on from (found, rest) and the flag alone, so its result is the same too
         f = factorize(n, cfg)
         assert f.complete and dict(f.factors) == expected, name
 
@@ -173,21 +176,41 @@ def test_trial_division_stops_at_a_prime_cofactor(monkeypatch):
 
     monkeypatch.setattr(arith, "is_prime", spy)
     # checked once after 2 and 3 are stripped: the wheel never starts
-    assert arith._trial_divide(12 * big, arith.DEFAULT_BUDGET) == ({2: 2, 3: 1}, big)
+    assert arith._trial_divide(12 * big, arith.DEFAULT_BUDGET) == ({2: 2, 3: 1}, big, True)
     assert asked == [big]
     # any verdict but "composite" stops the wheel, shown here by one that
     # leaves the factor 1009 unfound
     for verdict in ("prime", "probably_prime"):
         said[1009 * big] = verdict
-        assert arith._trial_divide(1009 * big, arith.DEFAULT_BUDGET) == ({}, 1009 * big)
-        assert arith._trial_divide(5 * 1009 * big, arith.DEFAULT_BUDGET) == ({5: 1}, 1009 * big)
+        assert arith._trial_divide(1009 * big, arith.DEFAULT_BUDGET) == ({}, 1009 * big, True)
+        assert arith._trial_divide(5 * 1009 * big, arith.DEFAULT_BUDGET) == \
+            ({5: 1}, 1009 * big, True)
     # checked after each division, and not while the cofactor is below bound^2
     asked.clear()
-    assert arith._trial_divide(5**3 * 7 * big, arith.DEFAULT_BUDGET) == ({5: 3, 7: 1}, big)
+    assert arith._trial_divide(5**3 * 7 * big, arith.DEFAULT_BUDGET) == ({5: 3, 7: 1}, big, True)
     assert asked == [5**3 * 7 * big, 5**2 * 7 * big, 5 * 7 * big, 7 * big, big]
     asked.clear()
-    assert arith._trial_divide(5**3 * 1009, arith.DEFAULT_BUDGET) == ({5: 3}, 1009)
+    assert arith._trial_divide(5**3 * 1009, arith.DEFAULT_BUDGET) == ({5: 3}, 1009, False)
     assert asked == []
+
+
+def test_factorize_tests_a_prime_cofactor_once(monkeypatch):
+    big = 10**30 + 57
+    asked = []
+
+    def spy(n, cfg=arith.DEFAULT_BUDGET):
+        asked.append(n)
+        return is_prime(n, cfg)
+
+    monkeypatch.setattr(arith, "is_prime", spy)
+    factorize.cache_clear()
+    f = factorize(12 * big)
+    assert f.complete and f.factors == ((2, 2), (3, 1), (big, 1))
+    assert asked.count(big) == 1
+    # a cofactor the wheel leaves below bound^2 is still tested by factorize
+    asked.clear()
+    assert factorize(5**3 * 1009).factors == ((5, 3), (1009, 1))
+    assert asked == [1009]
 
 
 def test_factorize_random_reconstruction():
@@ -212,6 +235,22 @@ def test_factorization_invariants_enforced():
         Factorization(10, ((2, 1), (3, 1)), False)  # 6 does not divide 10
     Factorization(12, ((2, 2), (3, 1)), True)
     assert Factorization(12, ((2, 2),), False).cofactor == 3
+
+
+def test_order_of_two():
+    # 2^k - 1 has order exactly k; 999983 is prime, 3 * 5^3 * 7^2 mixes prime powers
+    for k in range(1, 21):
+        assert order_of_two((1 << k) - 1) == k
+    for m in (999983, 3 * 5**3 * 7**2):
+        k, v = 1, 2 % m
+        while v != 1:
+            k, v = k + 1, v * 2 % m
+        assert order_of_two(m) == k, m
+    for bad in (0, -3, 2, 12):
+        with pytest.raises(ValueError):
+            order_of_two(bad)
+    with pytest.raises(FactorBudgetError):
+        order_of_two(HARD_P * HARD_Q, TINY_BUDGET)
 
 
 def test_sigma_examples():

@@ -233,6 +233,11 @@ def check_report(report: dict) -> None:
     for cand in report["candidates"]:
         p = cand["p"]
         assert naive_is_prime(p)
+        q = cand["mersenne_factor"]
+        if q is not None:
+            # a factor certifies 2^p - 1 composite with one modular power
+            assert cand["mersenne_status"] == "composite"
+            assert 1 < q < (1 << p) - 1 and pow(2, p, q) == 1
         mersenne_prime = naive_is_prime((1 << p) - 1)
         assert (cand["mersenne_status"] == "prime") == mersenne_prime
         if not mersenne_prime:

@@ -26,6 +26,10 @@ def test_decide_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "decide", "11")
     assert code == 0
 
+    # a factor of 2^p - 1 is printed with the composite status
+    code, out, _ = run_cli(capsys, "decide", "55")
+    assert code == 2 and "candidate p=11: 2^p - 1 composite (factor 23)" in out
+
     code, _, err = run_cli(capsys, "decide", "10")
     assert code == 1 and "odd" in err
 

@@ -97,6 +97,7 @@ def test_check_candidate_examples():
 
     c = check_candidate(11, 55)
     assert c.mersenne_status == "composite" and c.outcome == "eliminated"
+    assert c.mersenne_factor == 23 and c.to_dict()["mersenne_factor"] == 23
 
 
 def test_check_candidate_runs_lucas_lehmer_once():
@@ -294,7 +295,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "afd4113b8a406325932ea1951008bfbab364f6bd56201ea724d5fdf801d285b2"
+        "4d2834476f642905c8c624087e53f03022a14dfa7ab99e608110a50206da1b8a"
 
 
 def test_report_serialization_roundtrip():

@@ -99,6 +99,17 @@ def test_adjacent_powers_sets_are_complete_small_scan():
             assert d * s.x * s.x + c == 1 << s.n
 
 
+def test_power_cycle_matches_iteration():
+    # the definition: iterate 2^n mod m until a value repeats
+    for m in range(2, 5001):
+        seen: dict[int, int] = {}
+        v, i = 1 % m, 0
+        while v not in seen:
+            seen[v] = i
+            v, i = v * 2 % m, i + 1
+        assert power_cycle(m) == (seen[v], i - seen[v]), m
+
+
 def test_power_cycle_reproduces_powers_of_two():
     for m in range(2, 65):
         threshold, period = power_cycle(m)
