@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import mersenne
 from .arith import (
@@ -429,7 +429,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
         status = analyze(br.equation, n_min=p_min, n_parity=n_parity,
                          moduli=cfg.moduli, n_max=DEFAULT_N_MAX, table=cfg.table,
                          primes_only=True)
-        branches.append(replace(br, status=status))
+        branches.append(Branch(br.side, br.d, br.c, status))
         if status.status == "open":
             open_classes = [t for t in status.rule_trace if t["rule"] == "prime_class_closure"]
             detail = f" (classes {open_classes[0]['open_classes']})" if open_classes else ""

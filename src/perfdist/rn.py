@@ -4,12 +4,15 @@ Three closure mechanisms, applied in order: a curated completeness table
 (entries carry citations and are re-verified by substitution), an exact
 rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
 residue classes of n, combined across moduli and optionally closed by the
-"n must be prime" side condition.  Whatever survives is reported open,
-with a bounded search attached: it tests only the exponents below the
-sieves' common threshold and those in surviving classes, which finds every
-solution up to the bound because each sieve is sound.  `direct_search`
-remains the full-range search that tests every exponent.  Every applied
-rule leaves a certificate in the branch's rule trace.
+"n must be prime" side condition.  A modulus's surviving classes depend
+only on (modulus, d mod modulus, c mod modulus, odd-only), so they and
+their lifts to the combined period are memoized per process, in a memo
+that holds at most MEMO_RESIDUES residues.  Whatever survives is reported
+open, with a bounded search attached: it tests only the exponents below
+the sieves' common threshold and those in surviving classes, which finds
+every solution up to the bound because each sieve is sound.
+`direct_search` remains the full-range search that tests every exponent.
+Every applied rule leaves a certificate in the branch's rule trace.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, isqrt, lcm
 
 from .arith import is_prime, is_squarefree, order_of_two, v2
@@ -122,17 +126,25 @@ class SieveReport:
     small_n_to_check: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "rule": "sieve",
-            "equation": self.equation.to_dict(),
-            "modulus": self.modulus,
-            "n_min": self.n_min,
-            "n_parity": self.n_parity,
-            "n_threshold": self.n_threshold,
-            "period": self.period,
-            "surviving_classes": list(self.surviving_classes),
-            "small_n_to_check": list(self.small_n_to_check),
-        }
+        return _sieve_entry(self.equation, self.modulus, self.n_min, self.n_parity,
+                            self.n_threshold, self.period, self.surviving_classes,
+                            self.small_n_to_check)
+
+
+def _sieve_entry(eq: RNEquation, modulus: int, n_min: int, n_parity: str, threshold: int,
+                 period: int, classes, small) -> dict:
+    # the "sieve" rule-trace entry; every list and dict in it is new
+    return {
+        "rule": "sieve",
+        "equation": eq.to_dict(),
+        "modulus": modulus,
+        "n_min": n_min,
+        "n_parity": n_parity,
+        "n_threshold": threshold,
+        "period": period,
+        "surviving_classes": list(classes),
+        "small_n_to_check": list(small),
+    }
 
 
 def _parity_ok(n: int, parity: str) -> bool:
@@ -159,19 +171,22 @@ def power_cycle(modulus: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _combined_period(moduli: tuple[int, ...], n_parity: str) -> int:
-    """lcm of the moduli's periods, made even when n must be odd.
+def _moduli_cycles(moduli: tuple[int, ...],
+                   n_parity: str) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(combined period, (modulus, n_threshold, period) for each modulus).
 
-    analyze lists every residue of this period, so it is bounded like a
+    The combined period is the lcm of the periods, made even when n must
+    be odd.  analyze masks every residue of it, so it is bounded like a
     single modulus.
     """
-    period = lcm(*[power_cycle(m)[1] for m in moduli])
+    cycles = tuple((m, *power_cycle(m)) for m in moduli)
+    period = lcm(*[p for _, _, p in cycles])
     if n_parity == "odd":
         period = lcm(period, 2)
     if period > MAX_MODULUS:
         raise ValueError(f"moduli {list(moduli)} have a combined period of {period}, "
                          f"above {MAX_MODULUS}")
-    return period
+    return period, cycles
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +203,82 @@ def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int,
     return threshold, period, squares, cycle
 
 
+class _ResidueMemo:
+    """A dict memo whose entries together hold at most `limit` residues.
+
+    Each entry is stored with its weight, the number of residues it holds.
+    An entry heavier than the whole limit is not kept, and one that would
+    take the total past the limit empties the memo first.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.entries: dict = {}
+        self.weight = 0
+
+    def put(self, key, value, weight: int) -> None:
+        if weight > self.limit:
+            return
+        if self.weight + weight > self.limit:
+            self.clear()
+        self.entries[key] = value
+        self.weight += weight
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.weight = 0
+
+
+# Residues the per-process memo may hold: a scan over b < 3000 fills about
+# 6800, and a large modulus's class list (up to its period) is not kept.
+MEMO_RESIDUES = 1 << 16
+_memo = _ResidueMemo(MEMO_RESIDUES)
+
+
+def _sieve_classes(modulus: int, d: int, c: int, odd_only: bool) -> tuple[int, ...]:
+    """The classes r (mod period) where d*x**2 + c == 2**n (mod modulus) is solvable.
+
+    Only d and c modulo `modulus` matter, and odd_only drops the even
+    classes, so the answer is memoized on (modulus, d mod modulus,
+    c mod modulus, odd_only); an entry weighs its class count plus one.
+    """
+    d, c = d % modulus, c % modulus
+    key = (modulus, d, c, odd_only)
+    classes = _memo.entries.get(key)
+    if classes is None:
+        _, period, squares, cycle = _modulus_tables(modulus)
+        reachable = {(d * s + c) % modulus for s in squares}
+        classes = tuple(r for r in range(period)
+                        if cycle[r] in reachable and not (odd_only and r % 2 == 0))
+        _memo.put(key, classes, len(classes) + 1)
+    return classes
+
+
+_ONE_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _lift(classes: tuple[int, ...], period: int, width: int) -> int:
+    """A `width`-bit mask whose bit r is set iff r mod period is in classes.
+
+    width is a multiple of period.  Memoized on (classes, period, width);
+    an entry weighs `width`, which also bounds the classes in its key.
+    """
+    key = (classes, period, width)
+    mask = _memo.entries.get(key)
+    if mask is None:
+        bits = bytearray(b"0") * period
+        for r in classes:
+            bits[r] = ord("1")
+        mask = int((bits * (width // period))[::-1], 2)
+        _memo.put(key, mask, width)
+    return mask
+
+
+def _set_bits(mask: int) -> list[int]:
+    # the positions of the 1 bits of mask, least first
+    return list(compress(count(), format(mask, "b")[::-1].encode("ascii").translate(_ONE_BIT)))
+
+
 def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -> SieveReport:
     """Sieve the residue classes of n modulo the eventual period of 2**n mod modulus.
 
@@ -200,13 +291,10 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
         raise ValueError("n_parity must be 'any' or 'odd'")
     if n_min < 0:
         raise ValueError(f"n_min must be >= 0, got {n_min}")
-    threshold, period, squares, cycle = _modulus_tables(modulus)
-    reachable = {(eq.d * s + eq.c) % modulus for s in squares}
-    odd_only = n_parity == "odd" and period % 2 == 0
-    surviving = tuple(r for r in range(period)
-                      if cycle[r] in reachable and not (odd_only and r % 2 == 0))
+    threshold, period = power_cycle(modulus)
+    classes = _sieve_classes(modulus, eq.d, eq.c, n_parity == "odd" and period % 2 == 0)
     small = tuple(_exponents(n_min, threshold, n_parity))
-    return SieveReport(eq, modulus, n_min, n_parity, threshold, period, surviving, small)
+    return SieveReport(eq, modulus, n_min, n_parity, threshold, period, classes, small)
 
 
 @dataclass(frozen=True)
@@ -330,7 +418,11 @@ def analyze(eq: RNEquation,
 
     Order: completeness table, adjacent-powers rule, then sieving over
     every modulus with surviving classes intersected at the lcm of the
-    periods (parity folded in).  An empty intersection closes the branch
+    periods (parity folded in).  Each modulus costs one memo lookup for
+    its classes, keyed on d and c modulo it, and one for their lift to a
+    bit mask of the combined period; the intersection ANDs the masks.
+    A class list or mask too large for the memo is recomputed each call.
+    An empty intersection closes the branch
     up to finitely many small exponents, each tested directly.  When the
     caller declares n restricted to primes, a surviving class r mod k
     with g = gcd(r, k) > 1 contains at most the single prime g and closes
@@ -344,7 +436,7 @@ def analyze(eq: RNEquation,
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
-    combined_period = _combined_period(tuple(moduli), n_parity)
+    combined_period, cycles = _moduli_cycles(tuple(moduli), n_parity)
 
     def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
         return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
@@ -376,16 +468,17 @@ def analyze(eq: RNEquation,
         })
         return BranchStatus(eq, "closed_complete", kept, tuple(trace))
 
-    reports = [sieve(eq, m, n_min, n_parity) for m in moduli]
-    trace.extend(r.to_dict() for r in reports)
-
-    valid_from = max([n_min] + [r.n_threshold for r in reports])
     # parity folding made combined_period even whenever n_parity is "odd",
     # so a residue's parity is the parity of every n in its class
-    surviving = list(_exponents(0, combined_period, n_parity))
-    for rep in reports:
-        classes = set(rep.surviving_classes)
-        surviving = [r for r in surviving if r % rep.period in classes]
+    mask = _lift((1,), 2, combined_period) if n_parity == "odd" else (1 << combined_period) - 1
+    valid_from = n_min
+    for m, threshold, period in cycles:
+        classes = _sieve_classes(m, eq.d, eq.c, n_parity == "odd" and period % 2 == 0)
+        trace.append(_sieve_entry(eq, m, n_min, n_parity, threshold, period, classes,
+                                  _exponents(n_min, threshold, n_parity)))
+        mask &= _lift(classes, period, combined_period)
+        valid_from = max(valid_from, threshold)
+    surviving = _set_bits(mask)
     trace.append({
         "rule": "sieve_combination",
         "moduli": list(moduli),

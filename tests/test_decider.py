@@ -298,6 +298,27 @@ def test_reports_are_byte_identical_to_pinned_digest():
         "4d2834476f642905c8c624087e53f03022a14dfa7ab99e608110a50206da1b8a"
 
 
+def test_reports_are_byte_identical_over_the_benchmark_ranges():
+    """SHA-256 digests over every in-scope report for b in 3..2999, and over
+    five deltas of 33 to 77 digits that force candidate exponents 61..127.
+
+    Over 750 deltas the sieve memo serves most lookups warm, so a memo that
+    returns a wrong or altered class list changes these digests.
+    """
+    def digest(bs):
+        h = hashlib.sha256()
+        for b in bs:
+            h.update(decide(b * (b - 1) // 2).to_json().encode("ascii") + b"\n")
+        return h.hexdigest()
+
+    assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
+        "2fc7679a32bc6d92b9f8afdc59b155157c140e3bce49e5458e9c23c34e26a4ba"
+    # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
+    family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
+    assert digest([(1 << 55) + 3] + family) == \
+        "5e4536762b60318ebdbf3db58d4a7cf0d5b21308be0af828c72f89e6ead5fb88"
+
+
 def test_report_serialization_roundtrip():
     rep = decide(15)
     blob = rep.to_json()

@@ -1,9 +1,11 @@
+import copy
 import itertools
 import random
 from math import lcm
 
 import pytest
 
+from perfdist import rn
 from perfdist.arith import is_squarefree
 from perfdist.rn import (
     BUILTIN_TABLE,
@@ -356,3 +358,91 @@ def test_analyze_prime_closure_never_misses_prime_exponents():
             assert found.issuperset(brute), (eq, st.status, brute)
         else:
             assert found.issuperset(brute), (eq, "open", brute)
+
+
+def _parent_intersection(sieve_entries, n_parity):
+    # reference for the combined classes: every residue of the right
+    # parity, filtered once per modulus
+    periods = [t["period"] for t in sieve_entries] + ([2] if n_parity == "odd" else [])
+    period = lcm(*periods)
+    surviving = [r for r in range(period) if n_parity != "odd" or r % 2 == 1]
+    for t in sieve_entries:
+        classes = set(t["surviving_classes"])
+        surviving = [r for r in surviving if r % t["period"] in classes]
+    return period, surviving
+
+
+def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
+    # 4099 is prime with ord(2) = 4098, a period above 4096
+    assert power_cycle(4099) == (0, 4098)
+    moduli_lists = (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13), (3, 8, 4099))
+    shift = lcm(*DEFAULT_MODULI, 4099)  # a multiple of every modulus below
+    equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
+                 if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
+    cases = list(itertools.product(equations, moduli_lists, (0, 2, 7, 61), ("any", "odd")))
+    # the same cases with c moved by a multiple of every modulus: same residues
+    shifted = [(RNEquation(eq.d, eq.c + shift), *rest) for eq, *rest in cases]
+
+    expected = {}
+    # a memo with no room keeps nothing, so each reference sieves afresh
+    monkeypatch.setattr(rn, "_memo", rn._ResidueMemo(0))
+    for eq, moduli, n_min, parity in cases + shifted:
+        entries = [sieve(eq, m, n_min, parity).to_dict() for m in moduli]
+        period, surviving = _parent_intersection(entries, parity)
+        entries.append({
+            "rule": "sieve_combination",
+            "moduli": list(moduli),
+            "combined_period": period,
+            "valid_from": max([n_min] + [t["n_threshold"] for t in entries]),
+            "surviving_classes": surviving,
+        })
+        expected[eq, moduli, n_min, parity] = entries
+
+    def check(case):
+        eq, moduli, n_min, parity = case
+        trace = analyze(eq, n_min, parity, moduli).rule_trace
+        got = [t for t in trace if t["rule"] in ("sieve", "sieve_combination")]
+        assert got == expected[case], case
+
+    for limit in (10**9, 64):  # room for everything; room for almost nothing
+        memo = rn._ResidueMemo(limit)
+        monkeypatch.setattr(rn, "_memo", memo)
+        for case in cases:
+            check(case)
+        held = len(memo.entries)
+        for case, moved in zip(reversed(cases), reversed(shifted)):
+            check(case)
+            check(moved)
+        if limit == 10**9:
+            # the warm pass, shifted equations included, found every key
+            assert len(memo.entries) == held
+        assert memo.weight <= limit
+
+
+def test_analyze_trace_shares_no_cached_lists():
+    eq = RNEquation(1, 7)
+    first = analyze(eq).rule_trace
+    before = copy.deepcopy(first)
+    target = next(t for t in first if t["rule"] == "sieve" and t["surviving_classes"])
+    target["surviving_classes"].append(10**6)
+    target["equation"]["c"] = 8
+    combination = next(t for t in first if t["rule"] == "sieve_combination")
+    combination["surviving_classes"].append(10**6)
+    for got, want in zip(first, before):
+        if got is not target and got is not combination:
+            assert got == want
+    assert analyze(eq).rule_trace == tuple(before)
+    moved = analyze(RNEquation(1, 7 + lcm(*DEFAULT_MODULI))).rule_trace
+    classes = [t["surviving_classes"] for t in moved if "surviving_classes" in t]
+    assert classes == [t["surviving_classes"] for t in before if "surviving_classes" in t]
+
+
+def test_residue_memo_is_bounded_by_residues():
+    memo = rn._ResidueMemo(10)
+    memo.put("a", (1, 2, 3), 4)
+    memo.put("b", (4, 5), 3)
+    assert memo.weight == 7 and set(memo.entries) == {"a", "b"}
+    memo.put("big", tuple(range(11)), 12)  # heavier than the whole limit: not kept
+    assert memo.weight == 7 and "big" not in memo.entries
+    memo.put("c", (6, 7, 8, 9), 5)  # would pass the limit: the memo empties first
+    assert memo.weight == 5 and set(memo.entries) == {"c"}
