@@ -183,7 +183,7 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
             for p in range(2, v + 1):
                 if is_prime(p) != "prime":
                     continue
-                s = solution_at(RNEquation(d, c), p)
+                s = solution_at(RNEquation(d, c, known_squarefree=True), p)
                 checks.append({"p": p, "solution": s.as_pair() if s else None})
                 if s is not None:
                     forced.add(p)
@@ -426,13 +426,12 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
 
     branches = []
     for br in gen.branches:
-        status = analyze(br.equation, n_min=p_min, n_parity=n_parity,
-                         moduli=cfg.moduli, n_max=DEFAULT_N_MAX, table=cfg.table,
-                         primes_only=True)
+        status = analyze(RNEquation(br.d, br.c, known_squarefree=True), n_min=p_min,
+                         n_parity=n_parity, moduli=cfg.moduli, n_max=DEFAULT_N_MAX,
+                         table=cfg.table, primes_only=True)
         branches.append(Branch(br.side, br.d, br.c, status))
         if status.status == "open":
-            open_classes = [t for t in status.rule_trace if t["rule"] == "prime_class_closure"]
-            detail = f" (classes {open_classes[0]['open_classes']})" if open_classes else ""
+            detail = f" (classes {status.open_classes})" if status.open_classes else ""
             obstructions.append(f"branch {br.side} d={br.d} open{detail}")
 
     candidate_ps = {s.n for br in branches for s in br.status.solutions

@@ -8,17 +8,17 @@ residue classes of n, combined across moduli and optionally closed by the
 only on (modulus, d mod modulus, c mod modulus, odd-only), so they and
 their lifts to the combined period are memoized per process, in a memo
 that holds at most MEMO_RESIDUES residues.  Whatever survives is reported
-open, with a bounded search attached: it tests only the exponents below
-the sieves' common threshold and those in surviving classes, which finds
-every solution up to the bound because each sieve is sound.
-`direct_search` remains the full-range search that tests every exponent.
-Every applied rule leaves a certificate in the branch's rule trace.
+open, with a bounded search that tests only the exponents below the
+sieves' common threshold or in surviving classes, and of those only the
+ones each SEARCH_PRIMES sieve keeps; every sieve is sound, so it finds
+every solution up to the bound.  Every applied rule leaves a certificate
+in the branch's rule trace, whose "sieve" entries are built when read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm
@@ -38,13 +38,14 @@ class RNEquation:
 
     d: int
     c: int
+    known_squarefree: InitVar[bool] = False  # skips factoring d, e.g. a squarefree divisor
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, known_squarefree: bool) -> None:
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.c == 0:
             raise ValueError("c must be nonzero")
-        if not is_squarefree(self.d):
+        if not known_squarefree and not is_squarefree(self.d):
             raise ValueError(f"d = {self.d} is not squarefree")
 
     def __str__(self) -> str:
@@ -230,7 +231,7 @@ class _ResidueMemo:
 
 
 # Residues the per-process memo may hold: a scan over b < 3000 fills about
-# 6800, and a large modulus's class list (up to its period) is not kept.
+# 11,800, and a large modulus's class list (up to its period) is not kept.
 MEMO_RESIDUES = 1 << 16
 _memo = _ResidueMemo(MEMO_RESIDUES)
 
@@ -391,12 +392,28 @@ class BranchStatus:
     closed_finite_n: everything outside a finite, explicitly-checked set of
     exponents is excluded by the certificates in `rule_trace`.
     open: at least one residue class with infinitely many admissible n survived.
+
+    `rule_trace` renders a "sieve" entry from each (modulus, n_min, n_parity,
+    threshold, period, classes) in `sieves` when read, then adds `rules`.
     """
 
     equation: RNEquation
     status: str  # "closed_complete" | "closed_finite_n" | "open"
     solutions: tuple[RNSolution, ...]
-    rule_trace: tuple[dict, ...]
+    rules: tuple[dict, ...]
+    sieves: tuple[tuple, ...] = ()
+
+    @property
+    def open_classes(self) -> list[int]:
+        # the classes the prime-class closure left open, [] if it did not run
+        return next((t["open_classes"] for t in self.rules
+                     if t["rule"] == "prime_class_closure"), [])
+
+    @property
+    def rule_trace(self) -> tuple[dict, ...]:
+        return tuple(_sieve_entry(self.equation, m, n_min, parity, threshold, period, classes,
+                                  _exponents(n_min, threshold, parity))
+                     for m, n_min, parity, threshold, period, classes in self.sieves) + self.rules
 
     def to_dict(self) -> dict:
         return {
@@ -405,6 +422,27 @@ class BranchStatus:
             "solutions": [s.as_pair() for s in self.solutions],
             "rule_trace": list(self.rule_trace),
         }
+
+
+# Odd primes q with ord_q(2) dividing 720720, not in DEFAULT_MODULI.  Their
+# sieves are sound, so filtering the bounded search with them changes no
+# result, and they stay out of the config fingerprint.
+SEARCH_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@lru_cache(maxsize=None)
+def _square_class(q: int) -> tuple[int, ...]:
+    # by d mod q, the least d' of d's Legendre symbol: d'*x^2 takes the values of
+    # d*x^2 mod q, so a search prime's classes take 2q + 1 memo keys, not q^2
+    symbols = [pow(d, (q - 1) // 2, q) for d in range(q)]
+    return tuple(symbols.index(s) for s in symbols)
+
+
+@lru_cache(maxsize=None)
+def _repunit(period: int, width: int) -> int:
+    # times a period-bit mask: the mask repeated over at least width bits
+    copies = -(-width // period)
+    return ((1 << (period * copies)) - 1) // ((1 << period) - 1)
 
 
 def analyze(eq: RNEquation,
@@ -418,17 +456,14 @@ def analyze(eq: RNEquation,
 
     Order: completeness table, adjacent-powers rule, then sieving over
     every modulus with surviving classes intersected at the lcm of the
-    periods (parity folded in).  Each modulus costs one memo lookup for
-    its classes, keyed on d and c modulo it, and one for their lift to a
-    bit mask of the combined period; the intersection ANDs the masks.
-    A class list or mask too large for the memo is recomputed each call.
-    An empty intersection closes the branch
+    periods (parity folded in) by ANDing memoized bit masks.  An empty
+    intersection closes the branch
     up to finitely many small exponents, each tested directly.  When the
     caller declares n restricted to primes, a surviving class r mod k
     with g = gcd(r, k) > 1 contains at most the single prime g and closes
     too.  Anything else is reported open with a bounded search attached:
-    the solutions with n <= n_max, found by testing only the exponents
-    below valid_from and those in surviving classes.
+    the solutions with n <= n_max, testing only the exponents below
+    valid_from or in surviving classes that pass every search prime.
     """
     if not moduli:
         raise ValueError("moduli must be nonempty")
@@ -441,51 +476,45 @@ def analyze(eq: RNEquation,
     def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
         return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
 
-    trace: list[dict] = []
-
     entry = table.lookup(eq.d, eq.c)
     if entry is not None:
         kept = keep(list(entry.solutions))
-        trace.append({
+        return BranchStatus(eq, "closed_complete", kept, ({
             "rule": "completeness_table",
             "source": entry.source,
             "complete_solutions": [s.as_pair() for s in sorted(entry.solutions)],
             "kept": [s.as_pair() for s in kept],
-        })
-        return BranchStatus(eq, "closed_complete", kept, tuple(trace))
+        },))
 
     exact = adjacent_powers(eq)
     if exact is not None:
         kept = keep(exact)
-        shift = v2(eq.d)
-        pattern = f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m"
-        trace.append({
+        return BranchStatus(eq, "closed_complete", kept, ({
             "rule": "adjacent_powers",
-            "pattern": pattern,
-            "power_shift": shift,
+            "pattern": f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m",
+            "power_shift": v2(eq.d),
             "complete_solutions": [s.as_pair() for s in sorted(exact)],
             "kept": [s.as_pair() for s in kept],
-        })
-        return BranchStatus(eq, "closed_complete", kept, tuple(trace))
+        },))
 
     # parity folding made combined_period even whenever n_parity is "odd",
     # so a residue's parity is the parity of every n in its class
     mask = _lift((1,), 2, combined_period) if n_parity == "odd" else (1 << combined_period) - 1
     valid_from = n_min
+    sieves = []
     for m, threshold, period in cycles:
         classes = _sieve_classes(m, eq.d, eq.c, n_parity == "odd" and period % 2 == 0)
-        trace.append(_sieve_entry(eq, m, n_min, n_parity, threshold, period, classes,
-                                  _exponents(n_min, threshold, n_parity)))
+        sieves.append((m, n_min, n_parity, threshold, period, classes))
         mask &= _lift(classes, period, combined_period)
         valid_from = max(valid_from, threshold)
     surviving = _set_bits(mask)
-    trace.append({
+    trace: list[dict] = [{
         "rule": "sieve_combination",
         "moduli": list(moduli),
         "combined_period": combined_period,
         "valid_from": valid_from,
         "surviving_classes": surviving,
-    })
+    }]
 
     leftover = list(_exponents(n_min, valid_from, n_parity))
 
@@ -497,7 +526,8 @@ def analyze(eq: RNEquation,
             "n_values": checks,
             "solutions": [s.as_pair() for s in sorted(found)],
         })
-        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace))
+        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace),
+                            tuple(sieves))
 
     if not surviving:
         return finite_close(leftover)
@@ -526,16 +556,19 @@ def analyze(eq: RNEquation,
             return finite_close(leftover + extra)
 
     # exact: every sieve is sound, so a solution with n >= valid_from lies
-    # in a class of `surviving`, closed prime classes included
-    exponents = list(_exponents(n_min, min(valid_from, n_max + 1), n_parity))
-    for r in surviving:
-        exponents.extend(range(valid_from + (r - valid_from) % combined_period,
-                               n_max + 1, combined_period))
-    found = _solutions_at(eq, exponents)
+    # in a class of `surviving` (closed prime classes included), and its n
+    # lies in a surviving class of every search prime
+    width = n_max + 1
+    wanted = (mask * _repunit(combined_period, width)) >> valid_from << valid_from
+    wanted |= sum(1 << n for n in leftover)
+    for q, _, period in _moduli_cycles(SEARCH_PRIMES, "any")[1]:
+        classes = _sieve_classes(q, _square_class(q)[eq.d % q], eq.c, False)
+        wanted &= sum(1 << r for r in classes) * _repunit(period, width)
+    found = _solutions_at(eq, _set_bits(wanted & ((1 << width) - 1)))
     trace.append({
         "rule": "direct_search",
         "n_min": n_min,
         "n_max": n_max,
         "solutions": [s.as_pair() for s in sorted(found)],
     })
-    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace))
+    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), tuple(sieves))

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from perfdist import rn
 from perfdist.cli import main
-from perfdist.decider import canonical_json
+from perfdist.decider import canonical_json, decide
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,23 @@ def test_scan_basic(tmp_path, capsys):
     for rec in records:
         assert {"b", "delta", "verdict", "branches", "elapsed_ms",
                 "config_fingerprint"} <= set(rec)
+
+
+def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):
+    # a scan record reads only statuses; a serialized report renders each
+    # "sieve" entry once, as many as when analyze built them eagerly
+    calls = []
+    sieve_entry = rn._sieve_entry
+    monkeypatch.setattr(rn, "_sieve_entry", lambda *a: calls.append(a) or sieve_entry(*a))
+    code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "299", "--jobs", "1",
+                         "--out", str(tmp_path / "scan.jsonl"))
+    assert code == 0 and calls == []
+    for delta, entries in ((55, 88), (171, 44), (44551, 88), (4492503, 176)):
+        report = decide(delta)
+        assert calls == []
+        traces = [br["rule_trace"] for br in json.loads(report.to_json())["branches"]]
+        assert len(calls) == entries == sum(t["rule"] == "sieve" for tr in traces for t in tr)
+        calls.clear()
 
 
 def test_scan_resume_is_idempotent(tmp_path, capsys):

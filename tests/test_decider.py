@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from perfdist.arith import BudgetConfig, factorize, is_perfect, is_prime, squarefree_divisors
+from perfdist.arith import (
+    BudgetConfig,
+    factorize,
+    is_perfect,
+    is_prime,
+    is_squarefree,
+    squarefree_divisors,
+)
 from perfdist.decider import (
     DEFAULT_CONFIG,
     ODD_PERFECT_LOG10_BOUND,
@@ -70,6 +77,14 @@ def test_generate_branches_cover_the_divisor_cross_product():
             assert "side_value_v2" in p and "reason" in p
         for br in gen.branches:
             assert br.c == (1 - b if br.side == "A" else b)
+
+
+def test_branch_divisors_are_squarefree():
+    # decide builds each branch's equation without factoring d again
+    for b in range(3, 300):
+        gen = generate_branches(b)
+        assert all(is_squarefree(br.d) for br in gen.branches), b
+        assert all(is_squarefree(pr["d"]) for pr in gen.pruned), b
 
 
 def test_generate_branches_validation():

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 import random
 from math import lcm
 
@@ -272,35 +273,94 @@ def test_analyze_open_route():
     assert st.status == "open"
     assert {(s.x, s.n) for s in st.solutions} == {(1, 3), (3, 4), (5, 5), (11, 7), (181, 15)}
     assert st.rule_trace[-1]["rule"] == "direct_search"
+    # the trace is kept as plain values, so the status pickles and compares
+    restored = pickle.loads(pickle.dumps(st))
+    assert restored == st and restored.rule_trace == st.rule_trace
 
 
-def test_analyze_open_search_matches_full_range_search():
-    # an open branch tests only exponents below valid_from and in surviving
-    # classes; the full-range direct search is the reference
-    rng = random.Random(61)
-    planted = []  # equations built around a solution (x, n), half of them with n <= 20
-    while len(planted) < 60:
-        n = rng.randrange(1, 21 if len(planted) % 2 else 151)
+def _planted(seed, count, n_range):
+    # equations built around a solution (x, n), n drawn from n_range(index)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randrange(*n_range(len(out)))
         d, x = rng.randrange(1, 60), rng.randrange(1, 1000)
         c = (1 << n) - d * x * x
         if c != 0 and is_squarefree(d):
-            planted.append(RNEquation(d, c))
+            out.append(RNEquation(d, c))
+    return out
+
+
+def _planted_high(count):
+    # solutions at n in 300..2000, for a search up to n_max = 2000
+    return _planted(63, count, lambda i: (300, 2001))
+
+
+def _open_search_mismatches(equations, moduli_lists, n_mins, parities, primes_only, n_maxes):
+    """(open branches, those with solutions, mismatching cases) of analyze's
+    bounded search against the full-range direct search, over every combination."""
     open_branches = with_solutions = 0
-    cases = itertools.product(random_equations(61, 40, d_max=60, c_max=500) + planted,
-                              (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13)), (0, 2, 7, 61),
-                              ("any", "odd"), (False, True))
-    for eq, moduli, n_min, parity, primes_only in cases:
-        for n_max in (300, n_min + 4):
-            st = analyze(eq, n_min, parity, moduli, n_max, primes_only=primes_only)
+    mismatches = []
+    reference = {}
+    for eq, moduli, n_min, parity, primes in itertools.product(
+            equations, moduli_lists, n_mins, parities, primes_only):
+        for n_max in n_maxes(n_min):
+            st = analyze(eq, n_min, parity, moduli, n_max, primes_only=primes)
             if st.status != "open":
                 continue
             open_branches += 1
             with_solutions += bool(st.solutions)
-            expected = tuple(sorted(s for s in direct_search(eq, max(n_min, 0), n_max)
-                                    if parity != "odd" or s.n % 2 == 1))
-            assert st.solutions == expected, (eq, moduli, n_min, parity, n_max)
-            assert st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected]
-    assert open_branches > 2000 and with_solutions > 800
+            if (eq, n_max) not in reference:
+                reference[eq, n_max] = direct_search(eq, 0, n_max)
+            expected = tuple(s for s in reference[eq, n_max]
+                             if s.n >= n_min and (parity != "odd" or s.n % 2 == 1))
+            ok = (st.solutions == expected
+                  and st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected])
+            if not ok:
+                mismatches.append((eq, moduli, n_min, parity, primes, n_max))
+    return open_branches, with_solutions, mismatches
+
+
+def test_analyze_open_search_matches_full_range_search():
+    # an open branch tests only exponents below valid_from and in surviving
+    # classes that pass every search prime; the full-range direct search is
+    # the reference.  Half the planted solutions have n <= 20, and a third
+    # set has n in 300..2000, searched up to n_max = 2000.
+    planted = _planted(61, 60, lambda i: (1, 21 if i % 2 else 151))
+    moduli_lists = (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13))
+    open_branches, with_solutions, mismatches = _open_search_mismatches(
+        random_equations(61, 40, d_max=60, c_max=500) + planted, moduli_lists,
+        (0, 2, 7, 61), ("any", "odd"), (False, True), lambda n_min: (300, n_min + 4))
+    assert mismatches == [] and open_branches > 2000 and with_solutions > 800
+    open_branches, with_solutions, mismatches = _open_search_mismatches(
+        _planted_high(24), moduli_lists, (0, 61), ("any", "odd"), (False, True),
+        lambda n_min: (2000,))
+    assert mismatches == [] and open_branches > 100 and with_solutions > 100
+
+
+@pytest.mark.parametrize("q", rn.SEARCH_PRIMES)
+def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q):
+    # the comparison above must fail once one search prime forgets one class
+    sieve_classes = rn._sieve_classes
+
+    def lossy(m, d, c, odd_only):
+        classes = sieve_classes(m, d, c, odd_only)
+        return classes[1:] if m == q else classes
+
+    monkeypatch.setattr(rn, "_sieve_classes", lossy)
+    _, _, mismatches = _open_search_mismatches(_planted_high(24), (DEFAULT_MODULI,), (0,),
+                                               ("any",), (False,), lambda n_min: (2000,))
+    assert mismatches
+
+
+def test_search_prime_classes_depend_on_the_square_class_of_d():
+    for q in rn.SEARCH_PRIMES:
+        assert power_cycle(q)[0] == 0 and 720720 % power_cycle(q)[1] == 0
+        assert q not in DEFAULT_MODULI
+        canonical = rn._square_class(q)
+        for d, c in itertools.product(range(q), repeat=2):
+            assert rn._sieve_classes(q, canonical[d], c, False) == \
+                rn._sieve_classes(q, d, c, False), (q, d, c)
 
 
 def test_analyze_validation():
@@ -376,7 +436,8 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     # 4099 is prime with ord(2) = 4098, a period above 4096
     assert power_cycle(4099) == (0, 4098)
     moduli_lists = (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13), (3, 8, 4099))
-    shift = lcm(*DEFAULT_MODULI, 4099)  # a multiple of every modulus below
+    # a multiple of every modulus below and of every search prime
+    shift = lcm(*DEFAULT_MODULI, 4099, *rn.SEARCH_PRIMES)
     equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
                  if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
     cases = list(itertools.product(equations, moduli_lists, (0, 2, 7, 61), ("any", "odd")))
