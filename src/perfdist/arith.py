@@ -15,40 +15,48 @@ Composite verdicts are always certain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 class FactorBudgetError(RuntimeError):
     """Raised when an operation needs a complete factorization but the budget ran out."""
 
 
-@dataclass(frozen=True)
-class BudgetConfig:
-    """Resource bounds for factorization and primality testing."""
-
+# A NamedTuple cannot define __new__, so a record that checks its fields
+# subclasses a bare field tuple and checks them there.
+class _BudgetConfig(NamedTuple):
     trial_division_bound: int = 1_000_000
     rho_iteration_budget: int = 10_000_000
     primality_rounds: int = 40
 
-    def __post_init__(self) -> None:
-        if min(self.trial_division_bound, self.rho_iteration_budget, self.primality_rounds) < 1:
+
+class BudgetConfig(_BudgetConfig):
+    """Resource bounds for factorization and primality testing."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) < 1:
             raise ValueError("all budget fields must be >= 1")
+        return self
 
     def to_dict(self) -> dict:
-        return {
-            "trial_division_bound": self.trial_division_bound,
-            "rho_iteration_budget": self.rho_iteration_budget,
-            "primality_rounds": self.primality_rounds,
-        }
+        return self._asdict()
 
 
 DEFAULT_BUDGET = BudgetConfig()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Factorization(NamedTuple):
+    value: int
+    factors: tuple[tuple[int, int], ...]
+    complete: bool
+
+
+class Factorization(_Factorization):
     """Multiset of (prime, exponent) pairs for `value`, plus a completeness flag.
 
     When complete is False the unfactored part is exposed as `cofactor`
@@ -56,24 +64,23 @@ class Factorization:
     increasing; the product of prime powers times the cofactor is `value`.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
-    complete: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...], complete: bool):
+        if value < 1:
             raise ValueError("value must be >= 1")
         prev = 1
         prod = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1:
                 raise ValueError("factors must be strictly increasing primes with exponent >= 1")
             prev = p
             prod *= p**e
-        if self.value % prod != 0:
+        if value % prod != 0:
             raise ValueError("factor product does not divide value")
-        if self.complete and prod != self.value:
+        if complete and prod != value:
             raise ValueError("complete factorization must account for the whole value")
+        return super().__new__(cls, value, factors, complete)
 
     @property
     def cofactor(self) -> int:

@@ -11,7 +11,6 @@ switches a command to the stable record format.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -260,6 +259,8 @@ def cmd_scan(args) -> int:
 
         record = functools.partial(_scan_record, cfg, fingerprint)
         if args.jobs > 1 and len(todo) > 1:
+            import concurrent.futures  # here, so a decide or a jobs-1 scan never loads it
+
             # about four chunks per worker: few pickles, yet a slow chunk
             # still leaves the other workers something to take
             chunksize = -(-len(todo) // (4 * args.jobs))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import mersenne
 from .arith import (
@@ -61,8 +61,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-@dataclass(frozen=True)
-class DeciderConfig:
+class DeciderConfig(NamedTuple):
     """Everything decide() depends on besides delta; hashed into a fingerprint.
 
     `n_max`, `exponent_cap` and `odd_perfect_log10_bound` are the fixed
@@ -93,8 +92,7 @@ class DeciderConfig:
 DEFAULT_CONFIG = DeciderConfig()
 
 
-@dataclass(frozen=True)
-class CaseAnalysis:
+class CaseAnalysis(NamedTuple):
     """Congruence and triangularity facts that route delta through the procedure."""
 
     delta: int
@@ -104,13 +102,7 @@ class CaseAnalysis:
     in_scope: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "touchard_blocked": self.touchard_blocked,
-            "mod4_class": self.mod4_class,
-            "b": self.b,
-            "in_scope": self.in_scope,
-        }
+        return self._asdict()
 
 
 def case_analysis(delta: int) -> CaseAnalysis:
@@ -124,8 +116,7 @@ def case_analysis(delta: int) -> CaseAnalysis:
     return CaseAnalysis(delta, blocked, mod4, b, in_scope)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One (side, d) pair: side A encodes 2**p = d*x**2 - b + 1, side B 2**p = d*x**2 + b."""
 
     side: str  # "A" | "B"
@@ -146,8 +137,7 @@ class Branch:
         return out
 
 
-@dataclass(frozen=True)
-class BranchGeneration:
+class BranchGeneration(NamedTuple):
     """Surviving branches plus certificates for every pruned (side, d) pair."""
 
     branches: tuple[Branch, ...]
@@ -201,8 +191,7 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
     return BranchGeneration(tuple(branches), tuple(pruned), tuple(sorted(forced)))
 
 
-@dataclass(frozen=True)
-class CandidateCheck:
+class CandidateCheck(NamedTuple):
     """Verification record for one exponent p that survived branch analysis."""
 
     p: int
@@ -285,8 +274,7 @@ def _delta_plus_6_check(delta: int, budget: BudgetConfig) -> dict:
     return {"value": value, "perfect_status": is_perfect(value, budget), "rule": "divisor_sum"}
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """Perfectness of two integers and their distance."""
 
     x: int
@@ -297,11 +285,7 @@ class PairCheck:
     distance: int
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x, "y": self.y,
-            "x_status": self.x_status, "y_status": self.y_status,
-            "both_perfect": self.both_perfect, "distance": self.distance,
-        }
+        return self._asdict()
 
 
 def verify_pair(x: int, y: int, budget: BudgetConfig = DEFAULT_BUDGET) -> PairCheck:
@@ -313,8 +297,7 @@ def verify_pair(x: int, y: int, budget: BudgetConfig = DEFAULT_BUDGET) -> PairCh
     return PairCheck(x, y, xs, ys, xs == "perfect" and ys == "perfect", abs(x - y))
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     """Verdict for one delta plus every certificate used to reach it."""
 
     delta: int

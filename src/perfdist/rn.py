@@ -18,10 +18,10 @@ in the branch's rule trace, whose "sieve" entries are built when read.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .arith import is_prime, is_squarefree, order_of_two, v2
 
@@ -32,32 +32,35 @@ DEFAULT_N_MAX = 2000
 MAX_MODULUS = 10**6
 
 
-@dataclass(frozen=True)
-class RNEquation:
-    """The pair (d, c) of d*x**2 + c = 2**n; d squarefree positive, c nonzero."""
-
+class _RNEquation(NamedTuple):
     d: int
     c: int
-    known_squarefree: InitVar[bool] = False  # skips factoring d, e.g. a squarefree divisor
 
-    def __post_init__(self, known_squarefree: bool) -> None:
-        if self.d < 1:
+
+class RNEquation(_RNEquation):
+    """The pair (d, c) of d*x**2 + c = 2**n; d squarefree positive, c nonzero."""
+
+    __slots__ = ()
+
+    # known_squarefree skips factoring d, e.g. for a squarefree divisor
+    def __new__(cls, d: int, c: int, known_squarefree: bool = False):
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.c == 0:
+        if c == 0:
             raise ValueError("c must be nonzero")
-        if not known_squarefree and not is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not squarefree")
+        if not known_squarefree and not is_squarefree(d):
+            raise ValueError(f"d = {d} is not squarefree")
+        return super().__new__(cls, d, c)
 
     def __str__(self) -> str:
         sign = "+" if self.c >= 0 else "-"
         return f"{self.d}*x^2 {sign} {abs(self.c)} = 2^n"
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "c": self.c}
+        return self._asdict()
 
 
-@dataclass(frozen=True, order=True)
-class RNSolution:
+class RNSolution(NamedTuple):
     """A pair (x, n); holders guarantee d*x**2 + c == 2**n exactly."""
 
     x: int
@@ -106,8 +109,7 @@ def adjacent_powers(eq: RNEquation) -> list[RNSolution] | None:
     return [RNSolution(3, 3 + v)]
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(NamedTuple):
     """Which residue classes of n (mod period) can carry solutions, modulo `modulus`.
 
     The sequence 2**n mod modulus is eventually periodic: constant on
@@ -298,8 +300,7 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
     return SieveReport(eq, modulus, n_min, n_parity, threshold, period, classes, small)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """A complete solution set for one equation, with a citation for the claim."""
 
     d: int
@@ -322,15 +323,19 @@ class TableEntry:
         }
 
 
-@dataclass(frozen=True)
-class CompletenessTable:
-    """Curated equations whose full solution sets are known from the literature."""
-
+class _CompletenessTable(NamedTuple):
     entries: tuple[TableEntry, ...]
 
-    def __post_init__(self) -> None:
-        for entry in self.entries:
+
+class CompletenessTable(_CompletenessTable):
+    """Curated equations whose full solution sets are known from the literature."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[TableEntry, ...]):
+        for entry in entries:
             entry.verify()
+        return super().__new__(cls, entries)
 
     def lookup(self, d: int, c: int) -> TableEntry | None:
         for entry in self.entries:
@@ -384,8 +389,7 @@ def load_table(path: str) -> CompletenessTable:
     return BUILTIN_TABLE.merged_with(tuple(entries))
 
 
-@dataclass(frozen=True)
-class BranchStatus:
+class BranchStatus(NamedTuple):
     """Outcome of analysing one equation under the stated n-constraints.
 
     closed_complete: `solutions` is provably the complete set.

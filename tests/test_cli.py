@@ -186,6 +186,46 @@ def test_scan_parallel_worker_pool(tmp_path, capsys):
         assert canonical_json(json.loads(line)) == line
 
 
+def test_scan_workers_receive_the_loaded_table(tmp_path, capsys):
+    # the pool pickles a DeciderConfig carrying the loaded table into each
+    # worker; the table closes delta = 91's one open branch, B d=2 (its
+    # solutions with n <= 200), and that flips the verdict
+    table = tmp_path / "table.jsonl"
+    table.write_text('{"d": 2, "c": 14, "solutions": [[1, 4], [3, 5], [5, 6], [11, 8], '
+                     '[181, 16]], "source": "fixture"}\n')
+    outputs = {}
+    for name, extra in (("plain", ()), ("jobs1", ("--table", str(table))),
+                        ("jobs2", ("--table", str(table), "--jobs", "2"))):
+        outputs[name] = tmp_path / f"{name}.jsonl"
+        assert run_cli(capsys, "scan", "--b-from", "3", "--b-to", "14",
+                       "--out", str(outputs[name]), *extra)[0] == 0
+    plain, jobs1, jobs2 = (_records_without_timing(outputs[n]) for n in ("plain", "jobs1", "jobs2"))
+    assert [r["delta"] for r in jobs2] == [3, 15, 55, 91]
+    assert jobs2 == jobs1
+    assert plain[-1]["verdict"] == "inconclusive" and jobs2[-1]["verdict"] == "eliminated"
+    assert {"side": "B", "d": 2, "status": "closed_complete"} in jobs2[-1]["branches"]
+
+
+def test_decide_and_jobs_1_scan_load_no_dataclasses_or_process_pool(tmp_path):
+    # start-up cost: neither path loads dataclasses (and the inspect it pulls in) or the pool
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from perfdist.cli import main\n"
+        f"main(['scan', '--b-from', '3', '--b-to', '14', '--out', {str(tmp_path / 's.jsonl')!r},"
+        " '--jobs', '1'])\n"
+        "main(['decide', '15'])\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rn.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[-1].split())
+    assert "perfdist.cli" in added
+    assert not added & {"dataclasses", "inspect", "concurrent.futures"}
+
+
 def _records_without_timing(path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for rec in records:

@@ -1,0 +1,84 @@
+"""Every record type is an immutable value: frozen, hashable, picklable, tuple-compatible."""
+
+import pickle
+
+import pytest
+
+from perfdist import arith, decider, rn
+from perfdist.arith import BudgetConfig, Factorization
+from perfdist.decider import (
+    Branch,
+    BranchGeneration,
+    DeciderConfig,
+    PairCheck,
+    case_analysis,
+    check_candidate,
+    decide,
+    verify_pair,
+)
+from perfdist.rn import (
+    BranchStatus,
+    CompletenessTable,
+    RNEquation,
+    RNSolution,
+    TableEntry,
+    sieve,
+)
+
+
+def _entry():
+    return TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)), "fixture")
+
+
+# each factory builds a new record on every call
+SAMPLES = (
+    lambda: BudgetConfig(trial_division_bound=100),
+    lambda: Factorization(12, ((2, 2), (3, 1)), True),
+    lambda: RNEquation(5, 3),
+    lambda: RNSolution(5, 7),
+    lambda: sieve(RNEquation(1, 7), 8, 3, "odd"),
+    _entry,
+    lambda: CompletenessTable((_entry(),)),
+    lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), (),
+                         ((8, 0, "any", 3, 1, (0,)),)),
+    lambda: DeciderConfig(moduli=(3, 4, 5)),
+    lambda: case_analysis(15),
+    lambda: Branch("B", 1, 6),
+    lambda: BranchGeneration((Branch("A", 1, -5),), (), (5,)),
+    lambda: check_candidate(11, 15),
+    lambda: verify_pair(28, 6),
+    lambda: decide(15),
+)
+
+
+def test_samples_cover_every_record_type():
+    defined = {cls for module in (arith, rn, decider) for name, cls in vars(module).items()
+               if isinstance(cls, type) and hasattr(cls, "_fields") and not name.startswith("_")
+               and cls.__module__ == module.__name__}
+    sampled = [type(make()) for make in SAMPLES]
+    assert len(sampled) == len(set(sampled)) == len(defined) == 15
+    assert set(sampled) == defined
+
+
+@pytest.mark.parametrize("make", SAMPLES, ids=lambda make: type(make()).__name__)
+def test_record_contract(make):
+    a, b = make(), make()
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        a.extra = 1  # no __dict__: every class in the hierarchy has empty __slots__
+    assert a == b and a == tuple(a)
+    if any(isinstance(v, dict) for v in a):
+        # a record holding a dict (a report's certificates) is unhashable, like any tuple holding one
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    restored = pickle.loads(pickle.dumps(a))
+    assert type(restored) is type(a) and restored == a
+
+
+def test_solutions_sort_by_x_then_n():
+    sols = [RNSolution(5, 7), RNSolution(1, 9), RNSolution(1, 3), RNSolution(3, 5)]
+    assert sorted(sols) == [RNSolution(1, 3), RNSolution(1, 9), RNSolution(3, 5), RNSolution(5, 7)]
