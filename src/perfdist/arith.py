@@ -25,14 +25,23 @@ class FactorBudgetError(RuntimeError):
 
 
 # A NamedTuple cannot define __new__, so a record that checks its fields
-# subclasses a bare field tuple and checks them there.
+# subclasses _Checked and a bare field tuple, and checks them there.
+class _Checked:
+    __slots__ = ()
+
+    # NamedTuple's own _make, which _replace builds through, would skip __new__
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _BudgetConfig(NamedTuple):
     trial_division_bound: int = 1_000_000
     rho_iteration_budget: int = 10_000_000
     primality_rounds: int = 40
 
 
-class BudgetConfig(_BudgetConfig):
+class BudgetConfig(_Checked, _BudgetConfig):
     """Resource bounds for factorization and primality testing."""
 
     __slots__ = ()
@@ -56,7 +65,7 @@ class _Factorization(NamedTuple):
     complete: bool
 
 
-class Factorization(_Factorization):
+class Factorization(_Checked, _Factorization):
     """Multiset of (prime, exponent) pairs for `value`, plus a completeness flag.
 
     When complete is False the unfactored part is exposed as `cofactor`

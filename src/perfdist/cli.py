@@ -231,14 +231,14 @@ def cmd_scan(args) -> int:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _config_from(args)
     fingerprint = cfg.fingerprint()
-    existing = _load_scan_records(args.out)
+    records = _load_scan_records(args.out)  # new records replace these as they arrive
 
     todo = []
     for b in range(args.b_from, args.b_to + 1):
         delta = b * (b - 1) // 2
         if delta % 4 != 3:
             continue
-        prior = existing.get(delta)
+        prior = records.get(delta)
         if prior is not None and prior.get("config_fingerprint") == fingerprint:
             continue
         todo.append(b)
@@ -248,11 +248,12 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
 
-    new_records = {}
+    new_lines = {}  # each new record's line, encoded once for both writes
     with out_fh:
         def emit(rec):
-            new_records[rec["delta"]] = rec
-            out_fh.write(canonical_json(rec) + "\n")
+            line = new_lines[rec["delta"]] = canonical_json(rec) + "\n"
+            records[rec["delta"]] = rec
+            out_fh.write(line)
             out_fh.flush()
             print(f"delta={rec['delta']} (b={rec['b']}): {rec['verdict']} "
                   f"[{rec['elapsed_ms']} ms]", file=sys.stderr)
@@ -273,17 +274,15 @@ def cmd_scan(args) -> int:
 
     # restore delta ordering: stale records are replaced, nothing is dropped;
     # the sorted copy replaces the file only once it is whole
-    merged = dict(existing)
-    merged.update(new_records)
     tmp = args.out + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for delta in sorted(merged):
-            fh.write(canonical_json(merged[delta]) + "\n")
+        for delta in sorted(records):
+            fh.write(new_lines.get(delta) or canonical_json(records[delta]) + "\n")
     os.replace(tmp, args.out)
 
     lo = args.b_from * (args.b_from - 1) // 2
     hi = args.b_to * (args.b_to - 1) // 2
-    solved = [d for d, rec in merged.items()
+    solved = [d for d, rec in records.items()
               if lo <= d <= hi and rec["verdict"] == "solution_found"]
     return EXIT_SOLUTION if solved else EXIT_OK
 

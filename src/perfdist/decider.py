@@ -13,7 +13,6 @@ certificates to re-check the verdict independently.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import NamedTuple
 
@@ -85,6 +84,8 @@ class DeciderConfig(NamedTuple):
         }
 
     def fingerprint(self) -> str:
+        import hashlib  # here, not at import: only fingerprints use it, and loading it is slow
+
         digest = hashlib.sha256(canonical_json(self.to_dict()).encode("ascii"))
         return digest.hexdigest()[:16]
 

@@ -5,14 +5,18 @@ Three closure mechanisms, applied in order: a curated completeness table
 rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
 residue classes of n, combined across moduli and optionally closed by the
 "n must be prime" side condition.  A modulus's surviving classes depend
-only on (modulus, d mod modulus, c mod modulus, odd-only), so they and
-their lifts to the combined period are memoized per process, in a memo
-that holds at most MEMO_RESIDUES residues.  Whatever survives is reported
-open, with a bounded search that tests only the exponents below the
-sieves' common threshold or in surviving classes, and of those only the
-ones each SEARCH_PRIMES sieve keeps; every sieve is sound, so it finds
-every solution up to the bound.  Every applied rule leaves a certificate
-in the branch's rule trace, whose "sieve" entries are built when read.
+only on (modulus, d mod modulus, c mod modulus, odd-only), so their lift
+to the combined period, a bit mask, is memoized per process on that key
+and the period, in a memo that holds at most MEMO_RESIDUES residues.  The
+combination ANDs only the moduli that no other listed modulus is a
+multiple of, as the others cannot narrow it, and stops at the first empty
+mask.  Whatever survives is reported open, with a bounded search that
+tests only the exponents below the sieves' common threshold or in
+surviving classes, and of those only the ones each SEARCH_PRIMES sieve
+keeps, through masks held in a bounded cache of their own; every sieve is
+sound, so it finds every solution up to the bound.  Every applied rule
+leaves a certificate in the branch's rule trace, whose "sieve" entries,
+one per listed modulus, are built when read.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .arith import is_prime, is_squarefree, order_of_two, v2
+from .arith import _Checked, is_prime, is_squarefree, order_of_two, v2
 
 DEFAULT_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 32, 64)
 DEFAULT_N_MAX = 2000
@@ -37,7 +41,7 @@ class _RNEquation(NamedTuple):
     c: int
 
 
-class RNEquation(_RNEquation):
+class RNEquation(_Checked, _RNEquation):
     """The pair (d, c) of d*x**2 + c = 2**n; d squarefree positive, c nonzero."""
 
     __slots__ = ()
@@ -174,25 +178,6 @@ def power_cycle(modulus: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _moduli_cycles(moduli: tuple[int, ...],
-                   n_parity: str) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """(combined period, (modulus, n_threshold, period) for each modulus).
-
-    The combined period is the lcm of the periods, made even when n must
-    be odd.  analyze masks every residue of it, so it is bounded like a
-    single modulus.
-    """
-    cycles = tuple((m, *power_cycle(m)) for m in moduli)
-    period = lcm(*[p for _, _, p in cycles])
-    if n_parity == "odd":
-        period = lcm(period, 2)
-    if period > MAX_MODULUS:
-        raise ValueError(f"moduli {list(moduli)} have a combined period of {period}, "
-                         f"above {MAX_MODULUS}")
-    return period, cycles
-
-
-@lru_cache(maxsize=None)
 def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """(n_threshold, period, squares, cycle) for one modulus.
 
@@ -232,8 +217,8 @@ class _ResidueMemo:
         self.weight = 0
 
 
-# Residues the per-process memo may hold: a scan over b < 3000 fills about
-# 11,800, and a large modulus's class list (up to its period) is not kept.
+# Residues the per-process memo of lifted masks may hold: a scan over b < 3000
+# fills 44,760 (746 masks of 60); a mask as wide as a period near 10**6 is not kept.
 MEMO_RESIDUES = 1 << 16
 _memo = _ResidueMemo(MEMO_RESIDUES)
 
@@ -241,40 +226,24 @@ _memo = _ResidueMemo(MEMO_RESIDUES)
 def _sieve_classes(modulus: int, d: int, c: int, odd_only: bool) -> tuple[int, ...]:
     """The classes r (mod period) where d*x**2 + c == 2**n (mod modulus) is solvable.
 
-    Only d and c modulo `modulus` matter, and odd_only drops the even
-    classes, so the answer is memoized on (modulus, d mod modulus,
-    c mod modulus, odd_only); an entry weighs its class count plus one.
+    Only d and c modulo `modulus` matter, and odd_only drops the even classes.
     """
     d, c = d % modulus, c % modulus
-    key = (modulus, d, c, odd_only)
-    classes = _memo.entries.get(key)
-    if classes is None:
-        _, period, squares, cycle = _modulus_tables(modulus)
-        reachable = {(d * s + c) % modulus for s in squares}
-        classes = tuple(r for r in range(period)
-                        if cycle[r] in reachable and not (odd_only and r % 2 == 0))
-        _memo.put(key, classes, len(classes) + 1)
-    return classes
+    _, period, squares, cycle = _modulus_tables(modulus)
+    reachable = {(d * s + c) % modulus for s in squares}
+    return tuple(r for r in range(period)
+                 if cycle[r] in reachable and not (odd_only and r % 2 == 0))
 
 
 _ONE_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _lift(classes: tuple[int, ...], period: int, width: int) -> int:
-    """A `width`-bit mask whose bit r is set iff r mod period is in classes.
-
-    width is a multiple of period.  Memoized on (classes, period, width);
-    an entry weighs `width`, which also bounds the classes in its key.
-    """
-    key = (classes, period, width)
-    mask = _memo.entries.get(key)
-    if mask is None:
-        bits = bytearray(b"0") * period
-        for r in classes:
-            bits[r] = ord("1")
-        mask = int((bits * (width // period))[::-1], 2)
-        _memo.put(key, mask, width)
-    return mask
+    """A `width`-bit mask whose bit r is set iff r mod period is in classes; period | width."""
+    bits = bytearray(b"0") * period
+    for r in classes:
+        bits[r] = ord("1")
+    return int((bits * (width // period))[::-1], 2)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -327,7 +296,7 @@ class _CompletenessTable(NamedTuple):
     entries: tuple[TableEntry, ...]
 
 
-class CompletenessTable(_CompletenessTable):
+class CompletenessTable(_Checked, _CompletenessTable):
     """Curated equations whose full solution sets are known from the literature."""
 
     __slots__ = ()
@@ -398,7 +367,8 @@ class BranchStatus(NamedTuple):
     open: at least one residue class with infinitely many admissible n survived.
 
     `rule_trace` renders a "sieve" entry from each (modulus, n_min, n_parity,
-    threshold, period, classes) in `sieves` when read, then adds `rules`.
+    threshold, period, odd_only) in `sieves` when read, sieving the modulus
+    again, then adds `rules`.
     """
 
     equation: RNEquation
@@ -415,9 +385,10 @@ class BranchStatus(NamedTuple):
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
-        return tuple(_sieve_entry(self.equation, m, n_min, parity, threshold, period, classes,
+        return tuple(_sieve_entry(self.equation, m, n_min, parity, threshold, period,
+                                  _sieve_classes(m, self.equation.d, self.equation.c, odd_only),
                                   _exponents(n_min, threshold, parity))
-                     for m, n_min, parity, threshold, period, classes in self.sieves) + self.rules
+                     for m, n_min, parity, threshold, period, odd_only in self.sieves) + self.rules
 
     def to_dict(self) -> dict:
         return {
@@ -449,6 +420,46 @@ def _repunit(period: int, width: int) -> int:
     return ((1 << (period * copies)) - 1) // ((1 << period) - 1)
 
 
+@lru_cache(maxsize=1024)
+def _search_mask(q: int, d: int, c: int, width: int) -> int:
+    # search prime q's classes for d*x^2 + c, repeated over at least width bits;
+    # analyze passes d's square-class representative and c mod q, so one width
+    # takes at most 3q keys (720 for SEARCH_PRIMES), kept apart from _memo,
+    # which about 30 masks of 2001 bits would fill
+    classes = _sieve_classes(q, d, c, False)
+    return sum(1 << r for r in classes) * _repunit(_modulus_tables(q)[1], width)
+
+
+@lru_cache(maxsize=256)
+def _sieve_plan(moduli: tuple[int, ...], n_min: int, n_parity: str) -> tuple:
+    """(combined period, valid_from, starting mask, specs, ANDed) for analyze's sieve.
+
+    The combined period is the lcm of the periods, made even when n must be
+    odd; analyze masks every residue of it, so it is bounded like a single
+    modulus.  specs holds (modulus, n_min, n_parity, n_threshold, period,
+    odd_only) for every modulus, as BranchStatus.sieves keeps it.  ANDed
+    holds (modulus, odd_only, period) for the moduli that no other listed
+    modulus is a multiple of: where d*x**2 + c == 2**n is solvable mod k it
+    is solvable mod each divisor m of k, and from k's threshold on (never
+    below m's) a class of n fixes 2**n mod both, so m's mask holds k's.
+    """
+    cycles = [(m, *power_cycle(m)) for m in moduli]
+    period = lcm(*[p for _, _, p in cycles])
+    if n_parity == "odd":
+        period = lcm(period, 2)
+    if period > MAX_MODULUS:
+        raise ValueError(f"moduli {list(moduli)} have a combined period of {period}, "
+                         f"above {MAX_MODULUS}")
+    specs = tuple((m, n_min, n_parity, t, p, n_parity == "odd" and p % 2 == 0)
+                  for m, t, p in cycles)
+    anded = tuple(dict.fromkeys((m, odd_only, p) for m, _, _, _, p, odd_only in specs
+                                if not any(k % m == 0 and k != m for k in moduli)))
+    # parity folding made the period even whenever n_parity is "odd", so a
+    # residue's parity is the parity of every n in its class
+    start = _lift((1,), 2, period) if n_parity == "odd" else (1 << period) - 1
+    return period, max([n_min] + [t for _, t, _ in cycles]), start, specs, anded
+
+
 def analyze(eq: RNEquation,
             n_min: int = 0,
             n_parity: str = "any",
@@ -458,14 +469,15 @@ def analyze(eq: RNEquation,
             primes_only: bool = False) -> BranchStatus:
     """Run the closure pipeline on one equation.
 
-    Order: completeness table, adjacent-powers rule, then sieving over
-    every modulus with surviving classes intersected at the lcm of the
-    periods (parity folded in) by ANDing memoized bit masks.  An empty
-    intersection closes the branch
-    up to finitely many small exponents, each tested directly.  When the
-    caller declares n restricted to primes, a surviving class r mod k
-    with g = gcd(r, k) > 1 contains at most the single prime g and closes
-    too.  Anything else is reported open with a bounded search attached:
+    Order: completeness table, adjacent-powers rule, then sieving: the
+    surviving classes are intersected at the lcm of the periods (parity
+    folded in) by ANDing memoized bit masks, one per modulus that no other
+    listed modulus is a multiple of, until one leaves nothing.  An empty
+    intersection closes the branch up to finitely many small exponents,
+    each tested directly.  When the caller declares n restricted to primes,
+    a surviving class r mod k with g = gcd(r, k) > 1 contains at most the
+    single prime g and closes too.  Anything else is reported open with a
+    bounded search attached:
     the solutions with n <= n_max, testing only the exponents below
     valid_from or in surviving classes that pass every search prime.
     """
@@ -475,7 +487,7 @@ def analyze(eq: RNEquation,
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
-    combined_period, cycles = _moduli_cycles(tuple(moduli), n_parity)
+    combined_period, valid_from, mask, sieves, anded = _sieve_plan(tuple(moduli), n_min, n_parity)
 
     def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
         return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
@@ -501,17 +513,18 @@ def analyze(eq: RNEquation,
             "kept": [s.as_pair() for s in kept],
         },))
 
-    # parity folding made combined_period even whenever n_parity is "odd",
-    # so a residue's parity is the parity of every n in its class
-    mask = _lift((1,), 2, combined_period) if n_parity == "odd" else (1 << combined_period) - 1
-    valid_from = n_min
-    sieves = []
-    for m, threshold, period in cycles:
-        classes = _sieve_classes(m, eq.d, eq.c, n_parity == "odd" and period % 2 == 0)
-        sieves.append((m, n_min, n_parity, threshold, period, classes))
-        mask &= _lift(classes, period, combined_period)
-        valid_from = max(valid_from, threshold)
-    surviving = _set_bits(mask)
+    # one memo lookup per ANDed modulus: its classes lifted to combined_period
+    lifted = _memo.entries.get
+    for m, odd_only, period in anded:
+        key = (m, eq.d % m, eq.c % m, odd_only, combined_period)
+        lift = lifted(key)
+        if lift is None:
+            lift = _lift(_sieve_classes(m, eq.d, eq.c, odd_only), period, combined_period)
+            _memo.put(key, lift, combined_period)
+        mask &= lift
+        if not mask:
+            break
+    surviving = _set_bits(mask) if mask else []
     trace: list[dict] = [{
         "rule": "sieve_combination",
         "moduli": list(moduli),
@@ -530,8 +543,7 @@ def analyze(eq: RNEquation,
             "n_values": checks,
             "solutions": [s.as_pair() for s in sorted(found)],
         })
-        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace),
-                            tuple(sieves))
+        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace), sieves)
 
     if not surviving:
         return finite_close(leftover)
@@ -565,9 +577,8 @@ def analyze(eq: RNEquation,
     width = n_max + 1
     wanted = (mask * _repunit(combined_period, width)) >> valid_from << valid_from
     wanted |= sum(1 << n for n in leftover)
-    for q, _, period in _moduli_cycles(SEARCH_PRIMES, "any")[1]:
-        classes = _sieve_classes(q, _square_class(q)[eq.d % q], eq.c, False)
-        wanted &= sum(1 << r for r in classes) * _repunit(period, width)
+    for q in SEARCH_PRIMES:
+        wanted &= _search_mask(q, _square_class(q)[eq.d % q], eq.c % q, width)
     found = _solutions_at(eq, _set_bits(wanted & ((1 << width) - 1)))
     trace.append({
         "rule": "direct_search",
@@ -575,4 +586,4 @@ def analyze(eq: RNEquation,
         "n_max": n_max,
         "solutions": [s.as_pair() for s in sorted(found)],
     })
-    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), tuple(sieves))
+    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), sieves)

@@ -226,6 +226,20 @@ def test_decide_and_jobs_1_scan_load_no_dataclasses_or_process_pool(tmp_path):
     assert not added & {"dataclasses", "inspect", "concurrent.futures"}
 
 
+def test_import_loads_no_hashlib():
+    # only a config fingerprint needs hashlib, and loading _hashlib (OpenSSL) is slow
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import perfdist.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    src = os.path.dirname(os.path.dirname(rn.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "perfdist.cli" in added and not added & {"hashlib", "_hashlib"}
+
+
 def _records_without_timing(path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for rec in records:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from perfdist import rn
 from perfdist.arith import (
     BudgetConfig,
     factorize,
@@ -318,7 +319,7 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
     five deltas of 33 to 77 digits that force candidate exponents 61..127.
 
     Over 750 deltas the sieve memo serves most lookups warm, so a memo that
-    returns a wrong or altered class list changes these digests.
+    returns a wrong or altered mask changes these digests.
     """
     def digest(bs):
         h = hashlib.sha256()
@@ -332,6 +333,17 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
         "5e4536762b60318ebdbf3db58d4a7cf0d5b21308be0af828c72f89e6ead5fb88"
+
+
+def test_benchmark_scan_never_empties_the_memo(monkeypatch):
+    # the lifted masks of every branch with b < 3000 fit the memo with room to spare
+    memo = rn._ResidueMemo(rn.MEMO_RESIDUES)
+    monkeypatch.setattr(rn, "_memo", memo)
+    monkeypatch.setattr(memo, "clear", lambda: pytest.fail("the memo was emptied"))
+    for b in range(3, 3000):
+        if b * (b - 1) // 2 % 4 == 3:
+            decide(b * (b - 1) // 2)
+    assert 0 < memo.weight <= 0.75 * rn.MEMO_RESIDUES
 
 
 def test_report_serialization_roundtrip():

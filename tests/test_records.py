@@ -40,7 +40,7 @@ SAMPLES = (
     _entry,
     lambda: CompletenessTable((_entry(),)),
     lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), (),
-                         ((8, 0, "any", 3, 1, (0,)),)),
+                         ((8, 0, "any", 3, 1, False),)),
     lambda: DeciderConfig(moduli=(3, 4, 5)),
     lambda: case_analysis(15),
     lambda: Branch("B", 1, 6),
@@ -82,3 +82,23 @@ def test_record_contract(make):
 def test_solutions_sort_by_x_then_n():
     sols = [RNSolution(5, 7), RNSolution(1, 9), RNSolution(1, 3), RNSolution(3, 5)]
     assert sorted(sols) == [RNSolution(1, 3), RNSolution(1, 9), RNSolution(3, 5), RNSolution(5, 7)]
+
+
+# each record that checks its fields, and changes that a check rejects
+CHECKED = (
+    (lambda: BudgetConfig(), {"primality_rounds": 0}),
+    (lambda: Factorization(12, ((2, 2), (3, 1)), True), {"value": 13}),
+    (lambda: RNEquation(5, 3), {"d": 4}),
+    (lambda: CompletenessTable((_entry(),)),
+     {"entries": (TableEntry(5, 3, (RNSolution(1, 4),), "not a solution"),)}),
+)
+
+
+@pytest.mark.parametrize("make, bad", CHECKED, ids=[type(make()).__name__ for make, _ in CHECKED])
+def test_replace_and_make_run_the_record_checks(make, bad):
+    record = make()
+    assert type(record)._make(record) == record and type(record._replace()) is type(record)
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **bad}.values())

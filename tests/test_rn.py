@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -338,6 +339,16 @@ def test_analyze_open_search_matches_full_range_search():
     assert mismatches == [] and open_branches > 100 and with_solutions > 100
 
 
+def _fresh_caches(monkeypatch, memo_residues=rn.MEMO_RESIDUES):
+    # analyze keeps lifted masks in rn._memo and search-prime masks in the
+    # rn._search_mask cache; with fresh ones it sieves again through whatever
+    # rn._sieve_classes is in place, not through masks an earlier test left
+    memo = rn._ResidueMemo(memo_residues)
+    monkeypatch.setattr(rn, "_memo", memo)
+    monkeypatch.setattr(rn, "_search_mask", lru_cache(maxsize=1024)(rn._search_mask.__wrapped__))
+    return memo
+
+
 @pytest.mark.parametrize("q", rn.SEARCH_PRIMES)
 def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q):
     # the comparison above must fail once one search prime forgets one class
@@ -347,6 +358,7 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
         classes = sieve_classes(m, d, c, odd_only)
         return classes[1:] if m == q else classes
 
+    _fresh_caches(monkeypatch)
     monkeypatch.setattr(rn, "_sieve_classes", lossy)
     _, _, mismatches = _open_search_mismatches(_planted_high(24), (DEFAULT_MODULI,), (0,),
                                                ("any",), (False,), lambda n_min: (2000,))
@@ -445,8 +457,7 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     shifted = [(RNEquation(eq.d, eq.c + shift), *rest) for eq, *rest in cases]
 
     expected = {}
-    # a memo with no room keeps nothing, so each reference sieves afresh
-    monkeypatch.setattr(rn, "_memo", rn._ResidueMemo(0))
+    # sieve() keeps nothing, so each reference sieves afresh
     for eq, moduli, n_min, parity in cases + shifted:
         entries = [sieve(eq, m, n_min, parity).to_dict() for m in moduli]
         period, surviving = _parent_intersection(entries, parity)
@@ -466,8 +477,7 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
         assert got == expected[case], case
 
     for limit in (10**9, 64):  # room for everything; room for almost nothing
-        memo = rn._ResidueMemo(limit)
-        monkeypatch.setattr(rn, "_memo", memo)
+        memo = _fresh_caches(monkeypatch, limit)
         for case in cases:
             check(case)
         held = len(memo.entries)
@@ -478,6 +488,39 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
             # the warm pass, shifted equations included, found every key
             assert len(memo.entries) == held
         assert memo.weight <= limit
+
+
+def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatch):
+    # 5x^2 + 5 is 0 mod 5 and 2^n never is: the first modulus analyze ANDs
+    # closes the branch, and the trace still carries all 11 "sieve" entries
+    eq = RNEquation(5, 5)
+    memo = _fresh_caches(monkeypatch)
+    assert rn._sieve_plan(DEFAULT_MODULI, 3, "odd")[4][0] == (5, True, 4)
+    st = analyze(eq, 3, "odd")
+    assert st.status == "closed_finite_n" and list(memo.entries) == [(5, 0, 0, True, 60)]
+    entries = [t for t in st.rule_trace if t["rule"] == "sieve"]
+    assert entries == [sieve(eq, m, 3, "odd").to_dict() for m in DEFAULT_MODULI]
+    assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
+    assert any(t["surviving_classes"] for t in entries)
+
+
+def test_dominated_moduli_leave_the_combination_unchanged():
+    # solvable mod k means solvable mod every divisor of k, so analyze ANDs
+    # only the moduli no other listed modulus is a multiple of: 6 of the 11
+    anded = [m for m, _, _ in rn._sieve_plan(DEFAULT_MODULI, 0, "any")[4]]
+    assert anded == [5, 7, 9, 11, 13, 64]
+    assert [m for m, _, _ in rn._sieve_plan((4, 8, 64, 5), 0, "any")[4]] == [64, 5]
+    equations = [eq for eq in random_equations(89, 60, d_max=60, c_max=500)
+                 if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
+    for moduli in ((3, 9), (9, 3), (4, 8, 64, 5), (3, 3), (2, 4, 3, 6, 12), (16, 5, 8, 7)):
+        for eq, n_min, parity in itertools.product(equations, (0, 5), ("any", "odd")):
+            trace = analyze(eq, n_min, parity, moduli).rule_trace
+            entries = [t for t in trace if t["rule"] == "sieve"]
+            combination = next(t for t in trace if t["rule"] == "sieve_combination")
+            assert [t["modulus"] for t in entries] == list(moduli)
+            # the reference ANDs the classes of every modulus
+            assert (combination["combined_period"], combination["surviving_classes"]) == \
+                _parent_intersection(entries, parity), (eq, moduli, n_min, parity)
 
 
 def test_analyze_trace_shares_no_cached_lists():
