@@ -21,7 +21,6 @@ from .arith import DEFAULT_BUDGET, BudgetConfig, FactorBudgetError
 from .decider import DeciderConfig, canonical_json, decide, verify_pair
 from .rn import (
     BUILTIN_TABLE,
-    DEFAULT_MODULI,
     DEFAULT_N_MAX,
     RNEquation,
     direct_search,
@@ -46,16 +45,6 @@ class _UsageError(Exception):
     pass
 
 
-def _parse_moduli(text: str) -> tuple[int, ...]:
-    try:
-        moduli = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise _UsageError(f"bad moduli list: {text!r}")
-    if not moduli or min(moduli) < 2:
-        raise _UsageError("moduli must be integers >= 2")
-    return moduli
-
-
 def _config_from(args) -> DeciderConfig:
     table = BUILTIN_TABLE
     if args.table:
@@ -64,7 +53,7 @@ def _config_from(args) -> DeciderConfig:
         except OSError as exc:
             raise _UsageError(f"cannot read {args.table}: {exc}")
     budget = BudgetConfig(rho_iteration_budget=args.factor_budget)
-    return DeciderConfig(moduli=_parse_moduli(args.moduli), budget=budget, table=table)
+    return DeciderConfig(budget=budget, table=table)
 
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
@@ -73,8 +62,6 @@ def _add_budget_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--moduli", default=",".join(map(str, DEFAULT_MODULI)),
-                   help="comma-separated sieve moduli")
     _add_budget_flag(p)
     p.add_argument("--table", help="path to a completeness-table file (JSON lines)")
 

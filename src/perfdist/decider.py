@@ -63,19 +63,19 @@ def canonical_json(obj) -> str:
 class DeciderConfig(NamedTuple):
     """Everything decide() depends on besides delta; hashed into a fingerprint.
 
-    `n_max`, `exponent_cap` and `odd_perfect_log10_bound` are the fixed
-    constants `rn.DEFAULT_N_MAX`, `mersenne.DEFAULT_EXPONENT_CAP` and
-    `ODD_PERFECT_LOG10_BOUND`, still hashed so that changing any one of them
-    invalidates scan records made before it.
+    `moduli`, `n_max`, `exponent_cap` and `odd_perfect_log10_bound` are the
+    fixed constants `rn.DEFAULT_MODULI`, `rn.DEFAULT_N_MAX`,
+    `mersenne.DEFAULT_EXPONENT_CAP` and `ODD_PERFECT_LOG10_BOUND`, still
+    hashed so that changing any one of them invalidates scan records made
+    before it.
     """
 
-    moduli: tuple[int, ...] = DEFAULT_MODULI
     budget: BudgetConfig = DEFAULT_BUDGET
     table: CompletenessTable = BUILTIN_TABLE
 
     def to_dict(self) -> dict:
         return {
-            "moduli": list(self.moduli),
+            "moduli": list(DEFAULT_MODULI),
             "n_max": DEFAULT_N_MAX,
             "budget": self.budget.to_dict(),
             "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
@@ -411,8 +411,8 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     branches = []
     for br in gen.branches:
         status = analyze(RNEquation(br.d, br.c, known_squarefree=True), n_min=p_min,
-                         n_parity=n_parity, moduli=cfg.moduli, n_max=DEFAULT_N_MAX,
-                         table=cfg.table, primes_only=True)
+                         n_parity=n_parity, n_max=DEFAULT_N_MAX, table=cfg.table,
+                         primes_only=True)
         branches.append(Branch(br.side, br.d, br.c, status))
         if status.status == "open":
             detail = f" (classes {status.open_classes})" if status.open_classes else ""

@@ -3,11 +3,13 @@
 Three closure mechanisms, applied in order: a curated completeness table
 (entries carry citations and are re-verified by substitution), an exact
 rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
-residue classes of n, combined across moduli and optionally closed by the
-"n must be prime" side condition.  A modulus's surviving classes depend
-only on (modulus, d mod modulus, c mod modulus, odd-only), so their lift
-to the combined period, a bit mask, is memoized per process on that key
-and the period, in a memo that holds at most MEMO_RESIDUES residues.  The
+residue classes of n at the fixed moduli DEFAULT_MODULI, combined at their
+common period and optionally closed by the "n must be prime" side
+condition.  The moduli are a constant of the method, hashed into the
+decider's config fingerprint like DEFAULT_N_MAX.  A modulus's surviving
+classes depend only on (modulus, d mod modulus, c mod modulus, odd-only),
+so their lift to the combined period, a bit mask, is memoized per process
+on that key, in a dict that holds at most 2m**2 keys per modulus.  The
 combination ANDs only the moduli that no other listed modulus is a
 multiple of, as the others cannot narrow it, and stops at the first empty
 mask.  Whatever survives is reported open, with a bounded search that
@@ -16,7 +18,7 @@ surviving classes, and of those only the ones each SEARCH_PRIMES sieve
 keeps, through masks held in a bounded cache of their own; every sieve is
 sound, so it finds every solution up to the bound.  Every applied rule
 leaves a certificate in the branch's rule trace, whose "sieve" entries,
-one per listed modulus, are built when read.
+one per modulus, are built when read.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .arith import _Checked, is_prime, is_squarefree, order_of_two, v2
+from .arith import _Checked, is_squarefree, order_of_two, v2
 
 DEFAULT_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 32, 64)
 DEFAULT_N_MAX = 2000
-# the per-modulus tables cost time and memory linear in the modulus; a
-# larger one would run for minutes before any answer.
+# the per-modulus tables of sieve() cost time and memory linear in the
+# modulus; a larger one would run for minutes before any answer.
 MAX_MODULUS = 10**6
 
 
@@ -133,25 +135,18 @@ class SieveReport(NamedTuple):
     small_n_to_check: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return _sieve_entry(self.equation, self.modulus, self.n_min, self.n_parity,
-                            self.n_threshold, self.period, self.surviving_classes,
-                            self.small_n_to_check)
-
-
-def _sieve_entry(eq: RNEquation, modulus: int, n_min: int, n_parity: str, threshold: int,
-                 period: int, classes, small) -> dict:
-    # the "sieve" rule-trace entry; every list and dict in it is new
-    return {
-        "rule": "sieve",
-        "equation": eq.to_dict(),
-        "modulus": modulus,
-        "n_min": n_min,
-        "n_parity": n_parity,
-        "n_threshold": threshold,
-        "period": period,
-        "surviving_classes": list(classes),
-        "small_n_to_check": list(small),
-    }
+        # the "sieve" rule-trace entry; every list and dict in it is new
+        return {
+            "rule": "sieve",
+            "equation": self.equation.to_dict(),
+            "modulus": self.modulus,
+            "n_min": self.n_min,
+            "n_parity": self.n_parity,
+            "n_threshold": self.n_threshold,
+            "period": self.period,
+            "surviving_classes": list(self.surviving_classes),
+            "small_n_to_check": list(self.small_n_to_check),
+        }
 
 
 def _parity_ok(n: int, parity: str) -> bool:
@@ -191,36 +186,10 @@ def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int,
     return threshold, period, squares, cycle
 
 
-class _ResidueMemo:
-    """A dict memo whose entries together hold at most `limit` residues.
-
-    Each entry is stored with its weight, the number of residues it holds.
-    An entry heavier than the whole limit is not kept, and one that would
-    take the total past the limit empties the memo first.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.entries: dict = {}
-        self.weight = 0
-
-    def put(self, key, value, weight: int) -> None:
-        if weight > self.limit:
-            return
-        if self.weight + weight > self.limit:
-            self.clear()
-        self.entries[key] = value
-        self.weight += weight
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.weight = 0
-
-
-# Residues the per-process memo of lifted masks may hold: a scan over b < 3000
-# fills 44,760 (746 masks of 60); a mask as wide as a period near 10**6 is not kept.
-MEMO_RESIDUES = 1 << 16
-_memo = _ResidueMemo(MEMO_RESIDUES)
+# analyze's lifted masks by (m, d mod m, c mod m, odd_only): at most 2m**2
+# keys per ANDed modulus, 9,082 for DEFAULT_MODULI.  A scan over b < 3000
+# fills 746 of them.
+_lifted: dict = {}
 
 
 def _sieve_classes(modulus: int, d: int, c: int, odd_only: bool) -> tuple[int, ...]:
@@ -280,7 +249,9 @@ class TableEntry(NamedTuple):
     def verify(self) -> None:
         eq = RNEquation(self.d, self.c)
         for s in self.solutions:
-            if s.x < 1 or s.n < 0 or eq.d * s.x * s.x + eq.c != 1 << s.n:
+            t = eq.d * s.x * s.x + eq.c
+            # the bit length first: 2**n is never built wider than t
+            if s.x < 1 or s.n < 0 or t.bit_length() != s.n + 1 or t != 1 << s.n:
                 raise ValueError(f"table entry for {eq} lists a non-solution {s}")
 
     def to_dict(self) -> dict:
@@ -331,12 +302,20 @@ BUILTIN_TABLE = CompletenessTable((
 ))
 
 
+def _json_int(value) -> int:
+    # a JSON integer only: not a float such as 5.7 or Infinity, nor true or false
+    if type(value) is not int:
+        raise ValueError(f"{json.dumps(value)} is not an integer")
+    return value
+
+
 def load_table(path: str) -> CompletenessTable:
     """Read table entries from a JSON-lines file and merge them over BUILTIN_TABLE.
 
     One object per line: {"d": int, "c": int, "solutions": [[x, n], ...],
-    "source": str}.  Blank lines and lines starting with # are skipped.
-    Every entry is re-verified by substitution on load.
+    "source": str}, where d, c, x and n must be JSON integers.  Blank lines
+    and lines starting with # are skipped.  Every entry is re-verified by
+    substitution on load.
     """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -347,8 +326,8 @@ def load_table(path: str) -> CompletenessTable:
             try:
                 obj = json.loads(line)
                 entry = TableEntry(
-                    int(obj["d"]), int(obj["c"]),
-                    tuple(RNSolution(int(x), int(n)) for x, n in obj["solutions"]),
+                    _json_int(obj["d"]), _json_int(obj["c"]),
+                    tuple(RNSolution(_json_int(x), _json_int(n)) for x, n in obj["solutions"]),
                     str(obj["source"]),
                 )
                 entry.verify()
@@ -366,16 +345,16 @@ class BranchStatus(NamedTuple):
     exponents is excluded by the certificates in `rule_trace`.
     open: at least one residue class with infinitely many admissible n survived.
 
-    `rule_trace` renders a "sieve" entry from each (modulus, n_min, n_parity,
-    threshold, period, odd_only) in `sieves` when read, sieving the modulus
-    again, then adds `rules`.
+    `sieved` holds the (n_min, n_parity) the branch was sieved under, or ()
+    if it was not; `rule_trace` then sieves each of DEFAULT_MODULI again
+    when read, one "sieve" entry per modulus, and adds `rules`.
     """
 
     equation: RNEquation
     status: str  # "closed_complete" | "closed_finite_n" | "open"
     solutions: tuple[RNSolution, ...]
     rules: tuple[dict, ...]
-    sieves: tuple[tuple, ...] = ()
+    sieved: tuple = ()
 
     @property
     def open_classes(self) -> list[int]:
@@ -385,10 +364,8 @@ class BranchStatus(NamedTuple):
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
-        return tuple(_sieve_entry(self.equation, m, n_min, parity, threshold, period,
-                                  _sieve_classes(m, self.equation.d, self.equation.c, odd_only),
-                                  _exponents(n_min, threshold, parity))
-                     for m, n_min, parity, threshold, period, odd_only in self.sieves) + self.rules
+        return tuple(sieve(self.equation, m, *self.sieved).to_dict()
+                     for m in DEFAULT_MODULI if self.sieved) + self.rules
 
     def to_dict(self) -> dict:
         return {
@@ -424,70 +401,57 @@ def _repunit(period: int, width: int) -> int:
 def _search_mask(q: int, d: int, c: int, width: int) -> int:
     # search prime q's classes for d*x^2 + c, repeated over at least width bits;
     # analyze passes d's square-class representative and c mod q, so one width
-    # takes at most 3q keys (720 for SEARCH_PRIMES), kept apart from _memo,
-    # which about 30 masks of 2001 bits would fill
+    # takes at most 3q keys (720 for SEARCH_PRIMES)
     classes = _sieve_classes(q, d, c, False)
     return sum(1 << r for r in classes) * _repunit(_modulus_tables(q)[1], width)
 
 
 @lru_cache(maxsize=256)
-def _sieve_plan(moduli: tuple[int, ...], n_min: int, n_parity: str) -> tuple:
-    """(combined period, valid_from, starting mask, specs, ANDed) for analyze's sieve.
+def _sieve_plan(n_min: int, n_parity: str) -> tuple:
+    """(combined period, valid_from, starting mask, ANDed) for analyze's sieve.
 
-    The combined period is the lcm of the periods, made even when n must be
-    odd; analyze masks every residue of it, so it is bounded like a single
-    modulus.  specs holds (modulus, n_min, n_parity, n_threshold, period,
-    odd_only) for every modulus, as BranchStatus.sieves keeps it.  ANDed
+    The combined period is the lcm of 2 and the periods of DEFAULT_MODULI,
+    60, so a residue's parity is the parity of every n in its class.  ANDed
     holds (modulus, odd_only, period) for the moduli that no other listed
     modulus is a multiple of: where d*x**2 + c == 2**n is solvable mod k it
     is solvable mod each divisor m of k, and from k's threshold on (never
     below m's) a class of n fixes 2**n mod both, so m's mask holds k's.
     """
-    cycles = [(m, *power_cycle(m)) for m in moduli]
-    period = lcm(*[p for _, _, p in cycles])
-    if n_parity == "odd":
-        period = lcm(period, 2)
-    if period > MAX_MODULUS:
-        raise ValueError(f"moduli {list(moduli)} have a combined period of {period}, "
-                         f"above {MAX_MODULUS}")
-    specs = tuple((m, n_min, n_parity, t, p, n_parity == "odd" and p % 2 == 0)
-                  for m, t, p in cycles)
-    anded = tuple(dict.fromkeys((m, odd_only, p) for m, _, _, _, p, odd_only in specs
-                                if not any(k % m == 0 and k != m for k in moduli)))
-    # parity folding made the period even whenever n_parity is "odd", so a
-    # residue's parity is the parity of every n in its class
+    cycles = [(m, *power_cycle(m)) for m in DEFAULT_MODULI]
+    period = lcm(2, *[p for _, _, p in cycles])
+    anded = tuple((m, n_parity == "odd" and p % 2 == 0, p) for m, _, p in cycles
+                  if not any(k % m == 0 and k != m for k in DEFAULT_MODULI))
     start = _lift((1,), 2, period) if n_parity == "odd" else (1 << period) - 1
-    return period, max([n_min] + [t for _, t, _ in cycles]), start, specs, anded
+    return period, max([n_min] + [t for _, t, _ in cycles]), start, anded
 
 
 def analyze(eq: RNEquation,
             n_min: int = 0,
             n_parity: str = "any",
-            moduli: tuple[int, ...] = DEFAULT_MODULI,
             n_max: int = DEFAULT_N_MAX,
             table: CompletenessTable = BUILTIN_TABLE,
             primes_only: bool = False) -> BranchStatus:
     """Run the closure pipeline on one equation.
 
     Order: completeness table, adjacent-powers rule, then sieving: the
-    surviving classes are intersected at the lcm of the periods (parity
-    folded in) by ANDing memoized bit masks, one per modulus that no other
-    listed modulus is a multiple of, until one leaves nothing.  An empty
-    intersection closes the branch up to finitely many small exponents,
-    each tested directly.  When the caller declares n restricted to primes,
-    a surviving class r mod k with g = gcd(r, k) > 1 contains at most the
-    single prime g and closes too.  Anything else is reported open with a
-    bounded search attached:
+    surviving classes are intersected at the combined period of
+    DEFAULT_MODULI by ANDing memoized bit masks, one per modulus that no
+    other listed modulus is a multiple of, until one leaves nothing.  An
+    empty intersection closes the branch up to finitely many small
+    exponents, each tested directly.  When the caller declares n restricted
+    to primes, a surviving class r mod k with g = gcd(r, k) > 1 contains at
+    most the single prime g and closes too.  Anything else is reported open
+    with a bounded search attached:
     the solutions with n <= n_max, testing only the exponents below
     valid_from or in surviving classes that pass every search prime.
     """
-    if not moduli:
-        raise ValueError("moduli must be nonempty")
+    if n_parity not in ("any", "odd"):
+        raise ValueError("n_parity must be 'any' or 'odd'")
     if n_min < 0:
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
-    combined_period, valid_from, mask, sieves, anded = _sieve_plan(tuple(moduli), n_min, n_parity)
+    combined_period, valid_from, mask, anded = _sieve_plan(n_min, n_parity)
 
     def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
         return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
@@ -513,21 +477,21 @@ def analyze(eq: RNEquation,
             "kept": [s.as_pair() for s in kept],
         },))
 
-    # one memo lookup per ANDed modulus: its classes lifted to combined_period
-    lifted = _memo.entries.get
+    # one dict lookup per ANDed modulus: its classes lifted to combined_period
+    lifted = _lifted.get
     for m, odd_only, period in anded:
-        key = (m, eq.d % m, eq.c % m, odd_only, combined_period)
+        key = (m, eq.d % m, eq.c % m, odd_only)
         lift = lifted(key)
         if lift is None:
-            lift = _lift(_sieve_classes(m, eq.d, eq.c, odd_only), period, combined_period)
-            _memo.put(key, lift, combined_period)
+            lift = _lifted[key] = _lift(_sieve_classes(m, eq.d, eq.c, odd_only),
+                                        period, combined_period)
         mask &= lift
         if not mask:
             break
     surviving = _set_bits(mask) if mask else []
     trace: list[dict] = [{
         "rule": "sieve_combination",
-        "moduli": list(moduli),
+        "moduli": list(DEFAULT_MODULI),
         "combined_period": combined_period,
         "valid_from": valid_from,
         "surviving_classes": surviving,
@@ -543,7 +507,7 @@ def analyze(eq: RNEquation,
             "n_values": checks,
             "solutions": [s.as_pair() for s in sorted(found)],
         })
-        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace), sieves)
+        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace), (n_min, n_parity))
 
     if not surviving:
         return finite_close(leftover)
@@ -555,12 +519,10 @@ def analyze(eq: RNEquation,
             g = gcd(r, combined_period)  # gcd(0, k) == k
             if g == 1:
                 open_classes.append(r)
-                continue
-            check = None
-            if (is_prime(g) == "prime" and g % combined_period == r
-                    and g >= valid_from and _parity_ok(g, n_parity)):
-                check = g
-            closures.append({"residue": r, "gcd": g, "prime_to_check": check})
+            else:
+                # the one prime such a class can hold divides 60, so it is at
+                # most 5, below valid_from (64's threshold is 6): a finite check
+                closures.append({"residue": r, "gcd": g, "prime_to_check": None})
         trace.append({
             "rule": "prime_class_closure",
             "n_restricted_to_primes": True,
@@ -568,8 +530,7 @@ def analyze(eq: RNEquation,
             "open_classes": open_classes,
         })
         if not open_classes:
-            extra = [c["prime_to_check"] for c in closures if c["prime_to_check"] is not None]
-            return finite_close(leftover + extra)
+            return finite_close(leftover)
 
     # exact: every sieve is sound, so a solution with n >= valid_from lies
     # in a class of `surviving` (closed prime classes included), and its n
@@ -586,4 +547,4 @@ def analyze(eq: RNEquation,
         "n_max": n_max,
         "solutions": [s.as_pair() for s in sorted(found)],
     })
-    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), sieves)
+    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), (n_min, n_parity))

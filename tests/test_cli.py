@@ -126,11 +126,11 @@ def test_scan_basic(tmp_path, capsys):
 
 
 def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):
-    # a scan record reads only statuses; a serialized report renders each
+    # a scan record reads only statuses; a serialized report sieves each
     # "sieve" entry once, as many as when analyze built them eagerly
     calls = []
-    sieve_entry = rn._sieve_entry
-    monkeypatch.setattr(rn, "_sieve_entry", lambda *a: calls.append(a) or sieve_entry(*a))
+    sieve = rn.sieve
+    monkeypatch.setattr(rn, "sieve", lambda *a: calls.append(a) or sieve(*a))
     code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "299", "--jobs", "1",
                          "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0 and calls == []
@@ -355,6 +355,20 @@ def test_custom_table_flag(tmp_path, capsys):
         assert code == 1 and f"cannot read {path}: " in err
 
 
+def test_table_values_that_are_not_json_integers_exit_1(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    for value in ("Infinity", "1e400", "5.7", "true"):
+        table.write_text(f'{{"d": {value}, "c": 3, "solutions": [[1, 3]], "source": "x"}}\n')
+        code, out, err = run_cli(capsys, "decide", "15", "--table", str(table))
+        assert code == 1 and out == "" and err.startswith(f"error: {table}:1: bad table entry")
+    # int() raised OverflowError on Infinity, and the command died with a traceback
+    table.write_text('{"d": Infinity, "c": 3, "solutions": [], "source": "x"}\n')
+    proc = subprocess.run([sys.executable, "-m", "perfdist", "decide", "15", "--table", str(table)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_subcommands_reject_flags_they_do_not_read(capsys):
     code, _, err = run_cli(capsys, "verify-pair", "28", "6", "--table", "x")
     assert code == 1 and "--table" in err
@@ -369,17 +383,11 @@ def test_module_execution_entry():
     assert "verdict: eliminated" in proc.stdout
 
 
-def test_moduli_flag_accepts_comma_list(capsys):
-    code, out, _ = run_cli(capsys, "decide", "15", "--moduli", "3,4,8", "--json")
-    assert code == 0 and json.loads(out)["verdict"] == "eliminated"
-
-    code, _, err = run_cli(capsys, "decide", "15", "--moduli", "3,oops")
-    assert code == 1
-
-    code, out, err = run_cli(capsys, "decide", "15", "--moduli", "3,1000001")
-    assert code == 1 and out == "" and "modulus must be between 2 and 1000000" in err
-
-    # each modulus 2^k - 1 is small, but their periods k combine to 12252240
-    big = ",".join(str((1 << k) - 1) for k in (5, 7, 9, 11, 13, 16, 17))
-    code, out, err = run_cli(capsys, "decide", "15", "--moduli", big)
-    assert code == 1 and out == "" and "combined period of 12252240, above 1000000" in err
+def test_moduli_flag_is_rejected(tmp_path, capsys):
+    # the sieve moduli are a constant of the method, not an option
+    out_file = tmp_path / "scan.jsonl"
+    for argv in (("decide", "15", "--moduli", "3,4,8"),
+                 ("scan", "--b-from", "3", "--b-to", "6", "--out", str(out_file), "--moduli", "5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "error: unrecognized arguments: --moduli" in err
+    assert not out_file.exists()

@@ -255,12 +255,6 @@ def test_decide_deterministic_output():
     assert decide(55).to_json() == decide(55).to_json()
 
 
-def test_decide_verdict_monotone_under_larger_config():
-    bigger = DeciderConfig(moduli=DEFAULT_CONFIG.moduli + (128, 17, 25))
-    for delta in (3, 15):
-        assert decide(delta, bigger).verdict == "eliminated"
-
-
 def test_decide_inconclusive_names_obstruction():
     rep = decide(55)
     assert rep.verdict == "inconclusive"
@@ -318,8 +312,8 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
     """SHA-256 digests over every in-scope report for b in 3..2999, and over
     five deltas of 33 to 77 digits that force candidate exponents 61..127.
 
-    Over 750 deltas the sieve memo serves most lookups warm, so a memo that
-    returns a wrong or altered mask changes these digests.
+    Over 750 deltas the lifted-mask dict serves most lookups warm, so a
+    lookup that returns a wrong or altered mask changes these digests.
     """
     def digest(bs):
         h = hashlib.sha256()
@@ -335,15 +329,17 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         "5e4536762b60318ebdbf3db58d4a7cf0d5b21308be0af828c72f89e6ead5fb88"
 
 
-def test_benchmark_scan_never_empties_the_memo(monkeypatch):
-    # the lifted masks of every branch with b < 3000 fit the memo with room to spare
-    memo = rn._ResidueMemo(rn.MEMO_RESIDUES)
-    monkeypatch.setattr(rn, "_memo", memo)
-    monkeypatch.setattr(memo, "clear", lambda: pytest.fail("the memo was emptied"))
+def test_benchmark_scan_keeps_at_most_9082_lifted_masks(monkeypatch):
+    # keyed (m, d mod m, c mod m, odd_only), the masks of one ANDed modulus
+    # take at most 2m^2 keys
+    bound = sum(2 * m * m for m, _, _ in rn._sieve_plan(0, "any")[3])
+    assert bound == 9082
+    lifted = {}
+    monkeypatch.setattr(rn, "_lifted", lifted)
     for b in range(3, 3000):
         if b * (b - 1) // 2 % 4 == 3:
             decide(b * (b - 1) // 2)
-    assert 0 < memo.weight <= 0.75 * rn.MEMO_RESIDUES
+    assert 0 < len(lifted) <= bound
 
 
 def test_report_serialization_roundtrip():

@@ -39,9 +39,8 @@ SAMPLES = (
     lambda: sieve(RNEquation(1, 7), 8, 3, "odd"),
     _entry,
     lambda: CompletenessTable((_entry(),)),
-    lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), (),
-                         ((8, 0, "any", 3, 1, False),)),
-    lambda: DeciderConfig(moduli=(3, 4, 5)),
+    lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), (), (3, "odd")),
+    lambda: DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999)),
     lambda: case_analysis(15),
     lambda: Branch("B", 1, 6),
     lambda: BranchGeneration((Branch("A", 1, -5),), (), (5,)),

@@ -8,11 +8,10 @@ from math import lcm
 import pytest
 
 from perfdist import rn
-from perfdist.arith import is_squarefree
+from perfdist.arith import is_prime, is_squarefree
 from perfdist.rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
-    MAX_MODULUS,
     CompletenessTable,
     RNEquation,
     RNSolution,
@@ -224,9 +223,19 @@ def test_load_table(tmp_path):
     assert table.lookup(2, 6) is not None  # builtin entry retained
 
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"d": 5, "c": 3, "solutions": [[2, 3]], "source": "wrong"}\n')
-    with pytest.raises(ValueError):
-        load_table(str(bad))
+    for line in ('{"d": 5, "c": 3, "solutions": [[2, 3]], "source": "wrong"}',
+                 # d, c, x and n must be JSON integers: no float, however it would convert
+                 '{"d": Infinity, "c": 3, "solutions": [], "source": "overflows int()"}',
+                 '{"d": 5, "c": 3, "solutions": [[1, 1e400]], "source": "overflows int()"}',
+                 '{"d": 5.7, "c": 3, "solutions": [[1, 3], [5, 7]], "source": "int() gives 5"}',
+                 '{"d": 1, "c": 1, "solutions": [[1, 1.0]], "source": "int() gives 1"}',
+                 '{"d": true, "c": 1, "solutions": [[1, 1]], "source": "int() gives 1"}',
+                 '{"d": 1, "c": 1, "solutions": ["11"], "source": "int() gives 1, 1"}',
+                 # rejected without building 2^n, a 125 GB integer
+                 '{"d": 1, "c": 1, "solutions": [[1, 1000000000000]], "source": "huge n"}'):
+        bad.write_text(line + "\n")
+        with pytest.raises(ValueError, match="bad table entry"):
+            load_table(str(bad))
 
 
 def test_analyze_table_route():
@@ -247,22 +256,41 @@ def test_analyze_adjacent_route():
 
 
 def test_analyze_prime_closure_route():
-    st = analyze(RNEquation(1, 3), moduli=(3,), primes_only=True)
+    # 5x^2 - 16 = 2^n has (2, 2) and (4, 6); classes 2, 6, 26 and 42 mod 60
+    # survive, and each holds at most the prime gcd(r, 60)
+    eq = RNEquation(5, -16)
+    assert analyze(eq).status == "open"
+    st = analyze(eq, primes_only=True)
     assert st.status == "closed_finite_n"
-    assert st.solutions == (RNSolution(1, 2),)
-    closure = [t for t in st.rule_trace if t["rule"] == "prime_class_closure"]
-    assert closure and closure[0]["closed_classes"] == [
-        {"residue": 0, "gcd": 2, "prime_to_check": 2}
-    ]
+    assert st.solutions == (RNSolution(2, 2),)
+    closure = next(t for t in st.rule_trace if t["rule"] == "prime_class_closure")
+    assert closure["closed_classes"] == [
+        {"residue": r, "gcd": g, "prime_to_check": None}
+        for r, g in ((2, 2), (6, 6), (26, 2), (42, 6))
+    ] and closure["open_classes"] == []
+    # the prime 2 lies below valid_from = 6, so the finite checks test it
+    # and no class lists it again
+    finite = st.rule_trace[-1]
+    assert finite == {"rule": "finite_checks", "n_values": [0, 1, 2, 3, 4, 5],
+                      "solutions": [[2, 2]]}
+    # so it goes for every prime a closed class can hold: each divides the
+    # combined period and lies below valid_from at any n_min
+    for parity in ("any", "odd"):
+        period, valid_from = rn._sieve_plan(0, parity)[:2]
+        assert [g for g in range(2, period) if period % g == 0 and is_prime(g) == "prime"
+                and g >= valid_from] == []
 
 
 def test_analyze_sieve_closure_route():
-    st = analyze(RNEquation(22, 6), moduli=(8,), n_min=3)
+    # 22x^2 + 6 = 2 mod 4 and 2^n never is from n = 2 on
+    st = analyze(RNEquation(22, 6), n_min=3)
     assert st.status == "closed_finite_n"
     assert st.solutions == ()
+    combination = next(t for t in st.rule_trace if t["rule"] == "sieve_combination")
+    assert combination["surviving_classes"] == []
 
     # same equation without n_min picks up nothing below the threshold either
-    st = analyze(RNEquation(22, 6), moduli=(8,))
+    st = analyze(RNEquation(22, 6))
     assert st.status == "closed_finite_n"
     assert st.solutions == ()
 
@@ -297,16 +325,15 @@ def _planted_high(count):
     return _planted(63, count, lambda i: (300, 2001))
 
 
-def _open_search_mismatches(equations, moduli_lists, n_mins, parities, primes_only, n_maxes):
+def _open_search_mismatches(equations, n_mins, parities, primes_only, n_maxes):
     """(open branches, those with solutions, mismatching cases) of analyze's
     bounded search against the full-range direct search, over every combination."""
     open_branches = with_solutions = 0
     mismatches = []
     reference = {}
-    for eq, moduli, n_min, parity, primes in itertools.product(
-            equations, moduli_lists, n_mins, parities, primes_only):
+    for eq, n_min, parity, primes in itertools.product(equations, n_mins, parities, primes_only):
         for n_max in n_maxes(n_min):
-            st = analyze(eq, n_min, parity, moduli, n_max, primes_only=primes)
+            st = analyze(eq, n_min, parity, n_max, primes_only=primes)
             if st.status != "open":
                 continue
             open_branches += 1
@@ -318,7 +345,7 @@ def _open_search_mismatches(equations, moduli_lists, n_mins, parities, primes_on
             ok = (st.solutions == expected
                   and st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected])
             if not ok:
-                mismatches.append((eq, moduli, n_min, parity, primes, n_max))
+                mismatches.append((eq, n_min, parity, primes, n_max))
     return open_branches, with_solutions, mismatches
 
 
@@ -327,26 +354,24 @@ def test_analyze_open_search_matches_full_range_search():
     # classes that pass every search prime; the full-range direct search is
     # the reference.  Half the planted solutions have n <= 20, and a third
     # set has n in 300..2000, searched up to n_max = 2000.
-    planted = _planted(61, 60, lambda i: (1, 21 if i % 2 else 151))
-    moduli_lists = (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13))
+    planted = _planted(61, 120, lambda i: (1, 21 if i % 2 else 151))
     open_branches, with_solutions, mismatches = _open_search_mismatches(
-        random_equations(61, 40, d_max=60, c_max=500) + planted, moduli_lists,
+        random_equations(61, 80, d_max=60, c_max=500) + planted,
         (0, 2, 7, 61), ("any", "odd"), (False, True), lambda n_min: (300, n_min + 4))
     assert mismatches == [] and open_branches > 2000 and with_solutions > 800
     open_branches, with_solutions, mismatches = _open_search_mismatches(
-        _planted_high(24), moduli_lists, (0, 61), ("any", "odd"), (False, True),
-        lambda n_min: (2000,))
+        _planted_high(24), (0, 61), ("any", "odd"), (False, True), lambda n_min: (2000,))
     assert mismatches == [] and open_branches > 100 and with_solutions > 100
 
 
-def _fresh_caches(monkeypatch, memo_residues=rn.MEMO_RESIDUES):
-    # analyze keeps lifted masks in rn._memo and search-prime masks in the
+def _fresh_caches(monkeypatch):
+    # analyze keeps lifted masks in rn._lifted and search-prime masks in the
     # rn._search_mask cache; with fresh ones it sieves again through whatever
     # rn._sieve_classes is in place, not through masks an earlier test left
-    memo = rn._ResidueMemo(memo_residues)
-    monkeypatch.setattr(rn, "_memo", memo)
+    lifted = {}
+    monkeypatch.setattr(rn, "_lifted", lifted)
     monkeypatch.setattr(rn, "_search_mask", lru_cache(maxsize=1024)(rn._search_mask.__wrapped__))
-    return memo
+    return lifted
 
 
 @pytest.mark.parametrize("q", rn.SEARCH_PRIMES)
@@ -360,8 +385,8 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
 
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(rn, "_sieve_classes", lossy)
-    _, _, mismatches = _open_search_mismatches(_planted_high(24), (DEFAULT_MODULI,), (0,),
-                                               ("any",), (False,), lambda n_min: (2000,))
+    _, _, mismatches = _open_search_mismatches(_planted_high(24), (0,), ("any",), (False,),
+                                               lambda n_min: (2000,))
     assert mismatches
 
 
@@ -377,32 +402,18 @@ def test_search_prime_classes_depend_on_the_square_class_of_d():
 
 def test_analyze_validation():
     with pytest.raises(ValueError):
-        analyze(RNEquation(5, 3), moduli=())
-    with pytest.raises(ValueError):
         analyze(RNEquation(5, 3), n_min=10, n_max=5)
-    # a negative n_min is rejected before any rule runs, open branch or not
+    # a negative n_min or an unknown parity is rejected before any rule runs,
+    # open branch or not
     for eq in (RNEquation(1, -5), RNEquation(5, 3)):
         with pytest.raises(ValueError, match="n_min"):
             analyze(eq, n_min=-2)
-    # 2^k - 1 has period k: periods 5, 7, 9, 11, 13, 16 and 17 have lcm
-    # 12252240, above MAX_MODULUS, though each modulus is small
-    big = tuple((1 << k) - 1 for k in (5, 7, 9, 11, 13, 16, 17))
-    assert [power_cycle(m) for m in big] == [(0, k) for k in (5, 7, 9, 11, 13, 16, 17)]
-    assert lcm(5, 7, 9, 11, 13, 16, 17) > MAX_MODULUS
-    for eq in (RNEquation(1, -1), RNEquation(5, 3)):
-        with pytest.raises(ValueError, match="combined period of 12252240"):
-            analyze(eq, moduli=big)
-    # odd periods 5, 7, 9, 11, 13, 17 combine to 765765, which fits until odd
-    # n fold in a factor 2
-    odd_periods = tuple((1 << k) - 1 for k in (5, 7, 9, 11, 13, 17))
-    assert analyze(RNEquation(1, -1), moduli=odd_periods).status == "closed_complete"
-    with pytest.raises(ValueError, match="combined period of 1531530"):
-        analyze(RNEquation(1, -1), moduli=odd_periods, n_parity="odd")
-    # the default moduli combine to period 60; L = 720720 = lcm(16, 9, 5, 7, 11, 13) fits
-    trace = analyze(RNEquation(1, -5)).rule_trace
-    assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == 60
-    l720720 = tuple((1 << k) - 1 for k in (16, 9, 5, 7, 11, 13))
-    assert analyze(RNEquation(1, -1), moduli=l720720).status == "closed_complete"
+        with pytest.raises(ValueError, match="n_parity"):
+            analyze(eq, n_parity="even")
+    # the moduli combine to period 60, for odd n as for any
+    for parity in ("any", "odd"):
+        trace = analyze(RNEquation(1, -5), n_parity=parity).rule_trace
+        assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == 60
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
@@ -419,8 +430,6 @@ def test_analyze_closures_never_miss_bruteforce_solutions():
 def test_analyze_prime_closure_never_misses_prime_exponents():
     # the prime-class closure is the sharpest rule; a closed branch must
     # still capture every brute-force solution whose exponent is prime
-    from perfdist.arith import is_prime
-
     for eq in random_equations(77, 300):
         st = analyze(eq, n_min=2, primes_only=True, n_max=25)
         brute = [(x, n) for x, n in brute_rn_solutions(eq.d, eq.c, 25)
@@ -445,59 +454,57 @@ def _parent_intersection(sieve_entries, n_parity):
 
 
 def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
-    # 4099 is prime with ord(2) = 4098, a period above 4096
-    assert power_cycle(4099) == (0, 4098)
-    moduli_lists = (DEFAULT_MODULI, (3, 5, 7, 9, 11, 13), (3, 8, 4099))
-    # a multiple of every modulus below and of every search prime
-    shift = lcm(*DEFAULT_MODULI, 4099, *rn.SEARCH_PRIMES)
+    # a multiple of every modulus and of every search prime
+    shift = lcm(*DEFAULT_MODULI, *rn.SEARCH_PRIMES)
+    # the random equations all close at the moduli; a planted solution with
+    # n >= 6 keeps its class open
     equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
+                 + _planted(83, 14, lambda i: (6, 200))
                  if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
-    cases = list(itertools.product(equations, moduli_lists, (0, 2, 7, 61), ("any", "odd")))
+    cases = list(itertools.product(equations, (0, 2, 7, 61), ("any", "odd")))
     # the same cases with c moved by a multiple of every modulus: same residues
     shifted = [(RNEquation(eq.d, eq.c + shift), *rest) for eq, *rest in cases]
 
     expected = {}
     # sieve() keeps nothing, so each reference sieves afresh
-    for eq, moduli, n_min, parity in cases + shifted:
-        entries = [sieve(eq, m, n_min, parity).to_dict() for m in moduli]
+    for eq, n_min, parity in cases + shifted:
+        entries = [sieve(eq, m, n_min, parity).to_dict() for m in DEFAULT_MODULI]
         period, surviving = _parent_intersection(entries, parity)
         entries.append({
             "rule": "sieve_combination",
-            "moduli": list(moduli),
+            "moduli": list(DEFAULT_MODULI),
             "combined_period": period,
             "valid_from": max([n_min] + [t["n_threshold"] for t in entries]),
             "surviving_classes": surviving,
         })
-        expected[eq, moduli, n_min, parity] = entries
+        expected[eq, n_min, parity] = entries
+    assert sum(bool(entries[-1]["surviving_classes"]) for entries in expected.values()) > 100
 
     def check(case):
-        eq, moduli, n_min, parity = case
-        trace = analyze(eq, n_min, parity, moduli).rule_trace
+        eq, n_min, parity = case
+        trace = analyze(eq, n_min, parity).rule_trace
         got = [t for t in trace if t["rule"] in ("sieve", "sieve_combination")]
         assert got == expected[case], case
 
-    for limit in (10**9, 64):  # room for everything; room for almost nothing
-        memo = _fresh_caches(monkeypatch, limit)
-        for case in cases:
-            check(case)
-        held = len(memo.entries)
-        for case, moved in zip(reversed(cases), reversed(shifted)):
-            check(case)
-            check(moved)
-        if limit == 10**9:
-            # the warm pass, shifted equations included, found every key
-            assert len(memo.entries) == held
-        assert memo.weight <= limit
+    lifted = _fresh_caches(monkeypatch)
+    for case in cases:
+        check(case)
+    held = len(lifted)
+    for case, moved in zip(reversed(cases), reversed(shifted)):
+        check(case)
+        check(moved)
+    # the warm pass, shifted equations included, found every key
+    assert len(lifted) == held
 
 
 def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatch):
     # 5x^2 + 5 is 0 mod 5 and 2^n never is: the first modulus analyze ANDs
     # closes the branch, and the trace still carries all 11 "sieve" entries
     eq = RNEquation(5, 5)
-    memo = _fresh_caches(monkeypatch)
-    assert rn._sieve_plan(DEFAULT_MODULI, 3, "odd")[4][0] == (5, True, 4)
+    lifted = _fresh_caches(monkeypatch)
+    assert rn._sieve_plan(3, "odd")[3][0] == (5, True, 4)
     st = analyze(eq, 3, "odd")
-    assert st.status == "closed_finite_n" and list(memo.entries) == [(5, 0, 0, True, 60)]
+    assert st.status == "closed_finite_n" and list(lifted) == [(5, 0, 0, True)]
     entries = [t for t in st.rule_trace if t["rule"] == "sieve"]
     assert entries == [sieve(eq, m, 3, "odd").to_dict() for m in DEFAULT_MODULI]
     assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
@@ -507,20 +514,18 @@ def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatc
 def test_dominated_moduli_leave_the_combination_unchanged():
     # solvable mod k means solvable mod every divisor of k, so analyze ANDs
     # only the moduli no other listed modulus is a multiple of: 6 of the 11
-    anded = [m for m, _, _ in rn._sieve_plan(DEFAULT_MODULI, 0, "any")[4]]
+    anded = [m for m, _, _ in rn._sieve_plan(0, "any")[3]]
     assert anded == [5, 7, 9, 11, 13, 64]
-    assert [m for m, _, _ in rn._sieve_plan((4, 8, 64, 5), 0, "any")[4]] == [64, 5]
     equations = [eq for eq in random_equations(89, 60, d_max=60, c_max=500)
                  if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
-    for moduli in ((3, 9), (9, 3), (4, 8, 64, 5), (3, 3), (2, 4, 3, 6, 12), (16, 5, 8, 7)):
-        for eq, n_min, parity in itertools.product(equations, (0, 5), ("any", "odd")):
-            trace = analyze(eq, n_min, parity, moduli).rule_trace
-            entries = [t for t in trace if t["rule"] == "sieve"]
-            combination = next(t for t in trace if t["rule"] == "sieve_combination")
-            assert [t["modulus"] for t in entries] == list(moduli)
-            # the reference ANDs the classes of every modulus
-            assert (combination["combined_period"], combination["surviving_classes"]) == \
-                _parent_intersection(entries, parity), (eq, moduli, n_min, parity)
+    for eq, n_min, parity in itertools.product(equations, (0, 5), ("any", "odd")):
+        trace = analyze(eq, n_min, parity).rule_trace
+        entries = [t for t in trace if t["rule"] == "sieve"]
+        combination = next(t for t in trace if t["rule"] == "sieve_combination")
+        assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
+        # the reference ANDs the classes of every modulus
+        assert (combination["combined_period"], combination["surviving_classes"]) == \
+            _parent_intersection(entries, parity), (eq, n_min, parity)
 
 
 def test_analyze_trace_shares_no_cached_lists():
@@ -539,14 +544,3 @@ def test_analyze_trace_shares_no_cached_lists():
     moved = analyze(RNEquation(1, 7 + lcm(*DEFAULT_MODULI))).rule_trace
     classes = [t["surviving_classes"] for t in moved if "surviving_classes" in t]
     assert classes == [t["surviving_classes"] for t in before if "surviving_classes" in t]
-
-
-def test_residue_memo_is_bounded_by_residues():
-    memo = rn._ResidueMemo(10)
-    memo.put("a", (1, 2, 3), 4)
-    memo.put("b", (4, 5), 3)
-    assert memo.weight == 7 and set(memo.entries) == {"a", "b"}
-    memo.put("big", tuple(range(11)), 12)  # heavier than the whole limit: not kept
-    assert memo.weight == 7 and "big" not in memo.entries
-    memo.put("c", (6, 7, 8, 9), 5)  # would pass the limit: the memo empties first
-    assert memo.weight == 5 and set(memo.entries) == {"c"}
