@@ -82,7 +82,7 @@ def _render_decision(report) -> str:
     for br in report.branches:
         sols = ", ".join(f"(x={s.x}, n={s.n})" for s in br.status.solutions) or "none"
         if br.status.status == "closed_complete":
-            via = br.status.rule_trace[0]["rule"]
+            via = br.status.rule
         elif br.status.status == "closed_finite_n":
             via = "sieve + finite checks"
         else:
@@ -246,13 +246,15 @@ def cmd_scan(args) -> int:
                   f"[{rec['elapsed_ms']} ms]", file=sys.stderr)
 
         record = functools.partial(_scan_record, cfg, fingerprint)
-        if args.jobs > 1 and len(todo) > 1:
+        # the pool starts every worker at once, so ask for no more than can be busy
+        workers = min(args.jobs, len(todo), os.cpu_count() or 1)
+        if workers > 1:
             import concurrent.futures  # here, so a decide or a jobs-1 scan never loads it
 
             # about four chunks per worker: few pickles, yet a slow chunk
             # still leaves the other workers something to take
-            chunksize = -(-len(todo) // (4 * args.jobs))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            chunksize = -(-len(todo) // (4 * workers))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for rec in pool.map(record, todo, chunksize=chunksize):
                     emit(rec)
         else:
@@ -324,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default="scan.jsonl",
                         help="record file, one JSON object per delta (default scan.jsonl)")
     p_scan.add_argument("--jobs", type=int, default=1,
-                        help="concurrent decisions (default 1)")
+                        help="concurrent decisions (default 1), capped at the pending "
+                             "deltas and the CPU count")
     _add_config_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

@@ -139,11 +139,27 @@ class Branch(NamedTuple):
 
 
 class BranchGeneration(NamedTuple):
-    """Surviving branches plus certificates for every pruned (side, d) pair."""
+    """Surviving branches plus the facts behind every pruned (side, d) pair.
+
+    `pruning` holds (side, d, c, v, checks) per pruned pair: v is the side
+    value's 2-adic valuation for p > v, and checks pairs each prime p <= v
+    with its solution or None; `pruned` renders the certificates on each read.
+    """
 
     branches: tuple[Branch, ...]
-    pruned: tuple[dict, ...]
+    pruning: tuple[tuple, ...]
     forced_candidate_primes: tuple[int, ...]
+
+    @property
+    def pruned(self) -> tuple[dict, ...]:
+        # the side value is 2**p - c: 2**p + (b - 1) on A, 2**p - b on B
+        return tuple({
+            "side": side, "d": d, "c": c, "side_value_v2": v, "valid_for_exponents_above": v,
+            "reason": (f"v2(2^p {'+' if side == 'A' else '-'} {abs(c)}) = {v} for p > {v}, "
+                       f"while v2(d*x^2) = {v2(d)} mod 2 != {v} mod 2"),
+            "small_prime_checks": [{"p": p, "solution": s.as_pair() if s else None}
+                                   for p, s in checks],
+        } for side, d, c, v, checks in self.pruning)
 
 
 def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGeneration:
@@ -158,7 +174,7 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
         raise ValueError("triangular index must be >= 3")
     divisors = squarefree_divisors(2 * (2 * b - 1), cfg.budget)
     branches = []
-    pruned = []
+    pruning = []
     forced = set()
     for side in ("A", "B"):
         c = 1 - b if side == "A" else b
@@ -166,30 +182,20 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
         const = b - 1 if side == "A" else b
         v = v2(const) if const % 2 == 0 else 0
         want_even_d = v % 2 == 1
+        small_primes = [p for p in range(2, v + 1) if is_prime(p) == "prime"]
         for d in divisors:
             if (d % 2 == 0) == want_even_d:
                 branches.append(Branch(side, d, c))
                 continue
             checks = []
-            for p in range(2, v + 1):
-                if is_prime(p) != "prime":
-                    continue
+            for p in small_primes:
                 s = solution_at(RNEquation(d, c, known_squarefree=True), p)
-                checks.append({"p": p, "solution": s.as_pair() if s else None})
+                checks.append((p, s))
                 if s is not None:
                     forced.add(p)
-            pruned.append({
-                "side": side,
-                "d": d,
-                "c": c,
-                "side_value_v2": v,
-                "valid_for_exponents_above": v,
-                "reason": (f"v2(2^p {'+' if side == 'A' else '-'} {const}) = {v} for p > {v}, "
-                           f"while v2(d*x^2) = {v2(d)} mod 2 != {v} mod 2"),
-                "small_prime_checks": checks,
-            })
-    branches.sort(key=lambda br: (br.side, br.d))
-    return BranchGeneration(tuple(branches), tuple(pruned), tuple(sorted(forced)))
+            pruning.append((side, d, c, v, tuple(checks)))
+    # divisors come increasing and side A first, so branches are in (side, d) order
+    return BranchGeneration(tuple(branches), tuple(pruning), tuple(sorted(forced)))
 
 
 class CandidateCheck(NamedTuple):
@@ -307,9 +313,17 @@ class DecisionReport(NamedTuple):
     branches: tuple[Branch, ...]
     candidates: tuple[CandidateCheck, ...]
     verdict: str  # "eliminated" | "inconclusive" | "solution_found" | "out_of_scope"
-    certificates: dict
+    base_certificates: dict
     obstructions: tuple[str, ...]
     config: DeciderConfig
+    generation: BranchGeneration | None = None
+
+    @property
+    def certificates(self) -> dict:
+        # parity_pruning is rendered from the generation on each read
+        if self.generation is None:
+            return dict(self.base_certificates)
+        return {**self.base_certificates, "parity_pruning": list(self.generation.pruned)}
 
     def to_dict(self) -> dict:
         return {
@@ -353,7 +367,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
         "touchard": {"residue_mod_12": delta % 12, "blocked": ca.touchard_blocked},
     }
 
-    def report(verdict, d6=None, branches=(), candidates=(), obstructions=()):
+    def report(verdict, d6=None, branches=(), candidates=(), obstructions=(), gen=None):
         rules = [d6["rule"]] if d6 else []
         rules += [c.rule for c in candidates]
         if "odd_perfect_bound" in rules:
@@ -363,7 +377,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
                 "source": ODD_PERFECT_SOURCE,
             }
         return DecisionReport(delta, ca, d6, tuple(branches), tuple(candidates),
-                              verdict, certificates, tuple(obstructions), cfg)
+                              verdict, certificates, tuple(obstructions), cfg, gen)
 
     if ca.touchard_blocked:
         certificates["touchard"]["conclusion"] = (
@@ -398,7 +412,6 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
             f"cannot enumerate squarefree divisors of 2*(2b-1) = {2 * (2 * ca.b - 1)} "
             "within factor budget")
         return report("inconclusive", d6, obstructions=obstructions)
-    certificates["parity_pruning"] = list(gen.pruned)
 
     p_min = _min_exponent(delta)
     n_parity = "odd" if p_min > 2 else "any"
@@ -414,9 +427,8 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
                          n_parity=n_parity, n_max=DEFAULT_N_MAX, table=cfg.table,
                          primes_only=True)
         branches.append(Branch(br.side, br.d, br.c, status))
-        if status.status == "open":
-            detail = f" (classes {status.open_classes})" if status.open_classes else ""
-            obstructions.append(f"branch {br.side} d={br.d} open{detail}")
+        if status.status == "open":  # with n prime, a branch stays open only on open classes
+            obstructions.append(f"branch {br.side} d={br.d} open (classes {status.open_classes})")
 
     candidate_ps = {s.n for br in branches for s in br.status.solutions
                     if is_prime(s.n) == "prime"}
@@ -426,13 +438,12 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     for cand in candidates:
         if cand.outcome == "solution":
             certificates["exhibited_pair"] = [cand.m, cand.n_candidate]
-            return report("solution_found", d6, branches, candidates, obstructions)
+            return report("solution_found", d6, branches, candidates, obstructions, gen)
         if cand.outcome == "unresolved":
             why = ("Mersenne test skipped: exponent above cap"
                    if cand.mersenne_status == "untested"
                    else "perfectness unknown within factor budget")
             obstructions.append(f"candidate p={cand.p} unresolved ({why})")
 
-    if obstructions:
-        return report("inconclusive", d6, branches, candidates, obstructions)
-    return report("eliminated", d6, branches, candidates)
+    return report("inconclusive" if obstructions else "eliminated", d6, branches, candidates,
+                  obstructions, gen)

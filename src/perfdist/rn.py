@@ -4,28 +4,20 @@ Three closure mechanisms, applied in order: a curated completeness table
 (entries carry citations and are re-verified by substitution), an exact
 rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
 residue classes of n at the fixed moduli DEFAULT_MODULI, combined at their
-common period and optionally closed by the "n must be prime" side
-condition.  The moduli are a constant of the method, hashed into the
-decider's config fingerprint like DEFAULT_N_MAX.  A modulus's surviving
-classes depend only on (modulus, d mod modulus, c mod modulus, odd-only),
-so their lift to the combined period, a bit mask, is memoized per process
-on that key, in a dict that holds at most 2m**2 keys per modulus.  The
-combination ANDs only the moduli that no other listed modulus is a
-multiple of, as the others cannot narrow it, and stops at the first empty
-mask.  Whatever survives is reported open, with a bounded search that
-tests only the exponents below the sieves' common threshold or in
-surviving classes, and of those only the ones each SEARCH_PRIMES sieve
-keeps, through masks held in a bounded cache of their own; every sieve is
-sound, so it finds every solution up to the bound.  Every applied rule
-leaves a certificate in the branch's rule trace, whose "sieve" entries,
-one per modulus, are built when read.
+common period as bit masks memoized per (modulus, d mod m, c mod m,
+odd-only), and optionally closed by the "n must be prime" side condition.
+Whatever survives is reported open, with a bounded search over the
+exponents that every sieve and every SEARCH_PRIMES sieve keeps; each sieve
+is sound, so it finds every solution up to the bound.  analyze records
+only facts: the closing rule, the surviving mask and the (n_min, n_parity)
+sieved under.  The rule trace, a certificate per applied rule, is rendered
+from them when read.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import compress, count
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -149,8 +141,8 @@ class SieveReport(NamedTuple):
         }
 
 
-def _parity_ok(n: int, parity: str) -> bool:
-    return parity != "odd" or n % 2 == 1
+def _in_range(sols, n_min: int, n_parity: str) -> tuple[RNSolution, ...]:
+    return tuple(sorted(s for s in sols if s.n >= n_min and (n_parity != "odd" or s.n % 2)))
 
 
 def _exponents(lo: int, hi: int, parity: str) -> range:
@@ -204,20 +196,14 @@ def _sieve_classes(modulus: int, d: int, c: int, odd_only: bool) -> tuple[int, .
                  if cycle[r] in reachable and not (odd_only and r % 2 == 0))
 
 
-_ONE_BIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _lift(classes: tuple[int, ...], period: int, width: int) -> int:
-    """A `width`-bit mask whose bit r is set iff r mod period is in classes; period | width."""
-    bits = bytearray(b"0") * period
-    for r in classes:
-        bits[r] = ord("1")
-    return int((bits * (width // period))[::-1], 2)
-
-
 def _set_bits(mask: int) -> list[int]:
     # the positions of the 1 bits of mask, least first
-    return list(compress(count(), format(mask, "b")[::-1].encode("ascii").translate(_ONE_BIT)))
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -> SieveReport:
@@ -345,35 +331,56 @@ class BranchStatus(NamedTuple):
     exponents is excluded by the certificates in `rule_trace`.
     open: at least one residue class with infinitely many admissible n survived.
 
-    `sieved` holds the (n_min, n_parity) the branch was sieved under, or ()
-    if it was not; `rule_trace` then sieves each of DEFAULT_MODULI again
-    when read, one "sieve" entry per modulus, and adds `rules`.
+    `rule` names the last rule applied and `facts` what `rule_trace` renders
+    the certificates from on each read: the TableEntry for "completeness_table",
+    () for "adjacent_powers", and for "finite_checks" or "direct_search"
+    (n_min, n_parity, mask, primes_only, n_max), where bit r of mask is set
+    iff class r of the combined period survived every sieve.
     """
 
     equation: RNEquation
     status: str  # "closed_complete" | "closed_finite_n" | "open"
     solutions: tuple[RNSolution, ...]
-    rules: tuple[dict, ...]
-    sieved: tuple = ()
+    rule: str
+    facts: tuple = ()
 
     @property
     def open_classes(self) -> list[int]:
         # the classes the prime-class closure left open, [] if it did not run
-        return next((t["open_classes"] for t in self.rules
-                     if t["rule"] == "prime_class_closure"), [])
+        if self.status == "closed_complete" or not self.facts[3]:
+            return []
+        return _set_bits(self.facts[2] & _sieve_plan(*self.facts[:2])[4])
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
-        return tuple(sieve(self.equation, m, *self.sieved).to_dict()
-                     for m in DEFAULT_MODULI if self.sieved) + self.rules
-
-    def to_dict(self) -> dict:
-        return {
-            "equation": self.equation.to_dict(),
-            "status": self.status,
-            "solutions": [s.as_pair() for s in self.solutions],
-            "rule_trace": list(self.rule_trace),
-        }
+        eq, kept = self.equation, [s.as_pair() for s in self.solutions]
+        if self.rule == "completeness_table":
+            return ({"rule": self.rule, "source": self.facts.source, "kept": kept,
+                     "complete_solutions": [s.as_pair() for s in sorted(self.facts.solutions)]},)
+        if self.rule == "adjacent_powers":
+            return ({"rule": self.rule, "pattern": f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m",
+                     "power_shift": v2(eq.d), "kept": kept,
+                     "complete_solutions": [s.as_pair() for s in adjacent_powers(eq)]},)
+        n_min, n_parity, mask, primes_only, n_max = self.facts
+        period, valid_from, _, _, units = _sieve_plan(n_min, n_parity)
+        trace = [sieve(eq, m, n_min, n_parity).to_dict() for m in DEFAULT_MODULI]
+        trace.append({"rule": "sieve_combination", "moduli": list(DEFAULT_MODULI),
+                      "combined_period": period, "valid_from": valid_from,
+                      "surviving_classes": _set_bits(mask)})
+        if primes_only and mask:
+            # a class r with gcd(r, 60) > 1 holds at most the prime gcd(r, 60) <= 5,
+            # below valid_from (64's threshold is 6), so the finite checks test it
+            trace.append({"rule": "prime_class_closure", "n_restricted_to_primes": True,
+                          "closed_classes": [{"residue": r, "gcd": gcd(r, period),
+                                              "prime_to_check": None}
+                                             for r in _set_bits(mask & ~units)],
+                          "open_classes": self.open_classes})
+        if self.rule == "finite_checks":
+            trace.append({"rule": self.rule, "solutions": kept,
+                          "n_values": list(_exponents(n_min, valid_from, n_parity))})
+        else:
+            trace.append({"rule": self.rule, "n_min": n_min, "n_max": n_max, "solutions": kept})
+        return tuple(trace)
 
 
 # Odd primes q with ord_q(2) dividing 720720, not in DEFAULT_MODULI.  Their
@@ -408,7 +415,7 @@ def _search_mask(q: int, d: int, c: int, width: int) -> int:
 
 @lru_cache(maxsize=256)
 def _sieve_plan(n_min: int, n_parity: str) -> tuple:
-    """(combined period, valid_from, starting mask, ANDed) for analyze's sieve.
+    """(combined period, valid_from, starting mask, ANDed, units) for analyze's sieve.
 
     The combined period is the lcm of 2 and the periods of DEFAULT_MODULI,
     60, so a residue's parity is the parity of every n in its class.  ANDed
@@ -416,13 +423,15 @@ def _sieve_plan(n_min: int, n_parity: str) -> tuple:
     modulus is a multiple of: where d*x**2 + c == 2**n is solvable mod k it
     is solvable mod each divisor m of k, and from k's threshold on (never
     below m's) a class of n fixes 2**n mod both, so m's mask holds k's.
+    Units has bit r set iff gcd(r, combined period) == 1.
     """
     cycles = [(m, *power_cycle(m)) for m in DEFAULT_MODULI]
     period = lcm(2, *[p for _, _, p in cycles])
     anded = tuple((m, n_parity == "odd" and p % 2 == 0, p) for m, _, p in cycles
                   if not any(k % m == 0 and k != m for k in DEFAULT_MODULI))
-    start = _lift((1,), 2, period) if n_parity == "odd" else (1 << period) - 1
-    return period, max([n_min] + [t for _, t, _ in cycles]), start, anded
+    start = 2 * _repunit(2, period) if n_parity == "odd" else (1 << period) - 1
+    units = sum(1 << r for r in range(period) if gcd(r, period) == 1)
+    return period, max([n_min] + [t for _, t, _ in cycles]), start, anded, units
 
 
 def analyze(eq: RNEquation,
@@ -435,15 +444,13 @@ def analyze(eq: RNEquation,
 
     Order: completeness table, adjacent-powers rule, then sieving: the
     surviving classes are intersected at the combined period of
-    DEFAULT_MODULI by ANDing memoized bit masks, one per modulus that no
-    other listed modulus is a multiple of, until one leaves nothing.  An
-    empty intersection closes the branch up to finitely many small
+    DEFAULT_MODULI by ANDing memoized bit masks until one leaves nothing.
+    An empty intersection closes the branch up to finitely many small
     exponents, each tested directly.  When the caller declares n restricted
     to primes, a surviving class r mod k with g = gcd(r, k) > 1 contains at
     most the single prime g and closes too.  Anything else is reported open
-    with a bounded search attached:
-    the solutions with n <= n_max, testing only the exponents below
-    valid_from or in surviving classes that pass every search prime.
+    with the solutions with n <= n_max, found by testing only the exponents
+    below valid_from or in surviving classes that pass every search prime.
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
@@ -451,31 +458,16 @@ def analyze(eq: RNEquation,
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
-    combined_period, valid_from, mask, anded = _sieve_plan(n_min, n_parity)
-
-    def keep(sols: list[RNSolution]) -> tuple[RNSolution, ...]:
-        return tuple(sorted(s for s in sols if s.n >= n_min and _parity_ok(s.n, n_parity)))
+    combined_period, valid_from, mask, anded, units = _sieve_plan(n_min, n_parity)
 
     entry = table.lookup(eq.d, eq.c)
     if entry is not None:
-        kept = keep(list(entry.solutions))
-        return BranchStatus(eq, "closed_complete", kept, ({
-            "rule": "completeness_table",
-            "source": entry.source,
-            "complete_solutions": [s.as_pair() for s in sorted(entry.solutions)],
-            "kept": [s.as_pair() for s in kept],
-        },))
-
+        return BranchStatus(eq, "closed_complete", _in_range(entry.solutions, n_min, n_parity),
+                            "completeness_table", entry)
     exact = adjacent_powers(eq)
     if exact is not None:
-        kept = keep(exact)
-        return BranchStatus(eq, "closed_complete", kept, ({
-            "rule": "adjacent_powers",
-            "pattern": f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m",
-            "power_shift": v2(eq.d),
-            "complete_solutions": [s.as_pair() for s in sorted(exact)],
-            "kept": [s.as_pair() for s in kept],
-        },))
+        return BranchStatus(eq, "closed_complete", _in_range(exact, n_min, n_parity),
+                            "adjacent_powers")
 
     # one dict lookup per ANDed modulus: its classes lifted to combined_period
     lifted = _lifted.get
@@ -483,57 +475,19 @@ def analyze(eq: RNEquation,
         key = (m, eq.d % m, eq.c % m, odd_only)
         lift = lifted(key)
         if lift is None:
-            lift = _lifted[key] = _lift(_sieve_classes(m, eq.d, eq.c, odd_only),
-                                        period, combined_period)
+            lift = _lifted[key] = (sum(1 << r for r in _sieve_classes(m, eq.d, eq.c, odd_only))
+                                   * _repunit(period, combined_period))
         mask &= lift
         if not mask:
             break
-    surviving = _set_bits(mask) if mask else []
-    trace: list[dict] = [{
-        "rule": "sieve_combination",
-        "moduli": list(DEFAULT_MODULI),
-        "combined_period": combined_period,
-        "valid_from": valid_from,
-        "surviving_classes": surviving,
-    }]
-
-    leftover = list(_exponents(n_min, valid_from, n_parity))
-
-    def finite_close(checks: list[int]) -> BranchStatus:
-        checks = sorted(set(checks))
-        found = _solutions_at(eq, checks)
-        trace.append({
-            "rule": "finite_checks",
-            "n_values": checks,
-            "solutions": [s.as_pair() for s in sorted(found)],
-        })
-        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), tuple(trace), (n_min, n_parity))
-
-    if not surviving:
-        return finite_close(leftover)
-
-    if primes_only:
-        closures = []
-        open_classes = []
-        for r in surviving:
-            g = gcd(r, combined_period)  # gcd(0, k) == k
-            if g == 1:
-                open_classes.append(r)
-            else:
-                # the one prime such a class can hold divides 60, so it is at
-                # most 5, below valid_from (64's threshold is 6): a finite check
-                closures.append({"residue": r, "gcd": g, "prime_to_check": None})
-        trace.append({
-            "rule": "prime_class_closure",
-            "n_restricted_to_primes": True,
-            "closed_classes": closures,
-            "open_classes": open_classes,
-        })
-        if not open_classes:
-            return finite_close(leftover)
+    facts = (n_min, n_parity, mask, primes_only, n_max)
+    leftover = _exponents(n_min, valid_from, n_parity)
+    if not mask or primes_only and not mask & units:
+        found = _solutions_at(eq, leftover)
+        return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), "finite_checks", facts)
 
     # exact: every sieve is sound, so a solution with n >= valid_from lies
-    # in a class of `surviving` (closed prime classes included), and its n
+    # in a class of the mask (closed prime classes included), and its n
     # lies in a surviving class of every search prime
     width = n_max + 1
     wanted = (mask * _repunit(combined_period, width)) >> valid_from << valid_from
@@ -541,10 +495,4 @@ def analyze(eq: RNEquation,
     for q in SEARCH_PRIMES:
         wanted &= _search_mask(q, _square_class(q)[eq.d % q], eq.c % q, width)
     found = _solutions_at(eq, _set_bits(wanted & ((1 << width) - 1)))
-    trace.append({
-        "rule": "direct_search",
-        "n_min": n_min,
-        "n_max": n_max,
-        "solutions": [s.as_pair() for s in sorted(found)],
-    })
-    return BranchStatus(eq, "open", tuple(sorted(found)), tuple(trace), (n_min, n_parity))
+    return BranchStatus(eq, "open", tuple(sorted(found)), "direct_search", facts)

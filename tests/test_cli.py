@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 
 from perfdist import rn
 from perfdist.cli import main
-from perfdist.decider import canonical_json, decide
+from perfdist.decider import BranchGeneration, canonical_json, decide
 
 
 def run_cli(capsys, *argv):
@@ -126,20 +127,80 @@ def test_scan_basic(tmp_path, capsys):
 
 
 def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):
-    # a scan record reads only statuses; a serialized report sieves each
-    # "sieve" entry once, as many as when analyze built them eagerly
-    calls = []
+    # a scan record reads only statuses, so a scan renders no rule-trace entry
+    # and no pruning certificate; a serialized report renders each entry once,
+    # as many as when analyze and generate_branches built them eagerly
+    calls, built = [], collections.Counter()
     sieve = rn.sieve
     monkeypatch.setattr(rn, "sieve", lambda *a: calls.append(a) or sieve(*a))
+    rule_trace, pruned = rn.BranchStatus.rule_trace.fget, BranchGeneration.pruned.fget
+
+    def counted_trace(status):
+        trace = rule_trace(status)
+        built.update(t["rule"] for t in trace)
+        return trace
+
+    def counted_pruned(gen):
+        certs = pruned(gen)
+        built["parity_pruning"] += len(certs)
+        return certs
+
+    monkeypatch.setattr(rn.BranchStatus, "rule_trace", property(counted_trace))
+    monkeypatch.setattr(BranchGeneration, "pruned", property(counted_pruned))
     code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "299", "--jobs", "1",
                          "--out", str(tmp_path / "scan.jsonl"))
-    assert code == 0 and calls == []
-    for delta, entries in ((55, 88), (171, 44), (44551, 88), (4492503, 176)):
+    assert code == 0 and calls == [] and not built
+    # per delta: sieve, sieve_combination, prime_class_closure, finite_checks,
+    # direct_search entries and pruning certificates
+    for delta, counts in ((55, (88, 8, 2, 6, 2, 8)), (171, (44, 4, 1, 3, 1, 4)),
+                          (44551, (88, 8, 1, 7, 1, 8)), (4492503, (176, 16, 2, 14, 2, 16))):
         report = decide(delta)
-        assert calls == []
-        traces = [br["rule_trace"] for br in json.loads(report.to_json())["branches"]]
-        assert len(calls) == entries == sum(t["rule"] == "sieve" for tr in traces for t in tr)
+        assert calls == [] and not built
+        parsed = json.loads(report.to_json())
+        traces = [br["rule_trace"] for br in parsed["branches"]]
+        assert len(calls) == counts[0] == sum(t["rule"] == "sieve" for tr in traces for t in tr)
+        assert built == collections.Counter(dict(zip(
+            ("sieve", "sieve_combination", "prime_class_closure", "finite_checks",
+             "direct_search", "parity_pruning"), counts)))
+        assert len(parsed["certificates"]["parity_pruning"]) == counts[-1]
         calls.clear()
+        built.clear()
+
+
+def test_scan_pool_asks_for_no_more_workers_than_can_be_busy(tmp_path, capsys, monkeypatch):
+    # the pool starts all its workers at once; a fake pool that runs in this
+    # process records how many a scan asks for, and never starts one
+    import concurrent.futures
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cpus = os.cpu_count() or 1
+    for b_to, jobs, pending in ((14, 64, 4), (14, 3, 4), (11, 64, 3), (3, 64, 1)):
+        out = tmp_path / f"scan{b_to}_{jobs}.jsonl"
+        assert run_cli(capsys, "scan", "--b-from", "3", "--b-to", str(b_to),
+                       "--jobs", str(jobs), "--out", str(out))[0] == 0
+        workers = min(jobs, pending, cpus)
+        assert asked == ([workers] if workers > 1 else []), (b_to, jobs)
+        assert len(out.read_text().splitlines()) == pending
+        asked.clear()
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    assert "capped at the pending deltas and the CPU count" in " ".join(
+        capsys.readouterr().out.split())
 
 
 def test_scan_resume_is_idempotent(tmp_path, capsys):

@@ -39,7 +39,8 @@ SAMPLES = (
     lambda: sieve(RNEquation(1, 7), 8, 3, "odd"),
     _entry,
     lambda: CompletenessTable((_entry(),)),
-    lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), (), (3, "odd")),
+    lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), "direct_search",
+                         (3, "odd", 1 << 3, False, 100)),
     lambda: DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999)),
     lambda: case_analysis(15),
     lambda: Branch("B", 1, 6),

@@ -238,6 +238,29 @@ def test_load_table(tmp_path):
             load_table(str(bad))
 
 
+def test_set_bits_matches_the_bit_by_bit_reference():
+    def reference(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    rng = random.Random(14)
+    masks = [0] + [1 << i for i in (0, 1, 59, 60, 63, 64, 2000)]
+    masks += [rng.getrandbits(bits) for bits in (1, 8, 60, 61, 64, 65, 2001) for _ in range(20)]
+    # the 2001-bit search masks of open branches, built as analyze builds them
+    width = rn.DEFAULT_N_MAX + 1
+    for eq in [RNEquation(1, 7), RNEquation(2, 14), RNEquation(5, -16)] + \
+            random_equations(14, 20, d_max=60, c_max=500):
+        for n_min, parity in ((0, "any"), (7, "odd")):
+            period, valid_from, start = rn._sieve_plan(n_min, parity)[:3]
+            wanted = (start * rn._repunit(period, width)) >> valid_from << valid_from
+            masks.append(wanted & ((1 << width) - 1))
+            for q in rn.SEARCH_PRIMES:
+                wanted &= rn._search_mask(q, rn._square_class(q)[eq.d % q], eq.c % q, width)
+            masks.append(wanted & ((1 << width) - 1))
+    assert any(m.bit_length() == width for m in masks)
+    for mask in masks:
+        assert rn._set_bits(mask) == reference(mask), mask
+
+
 def test_analyze_table_route():
     st = analyze(RNEquation(5, 3))
     assert st.status == "closed_complete"
