@@ -133,6 +133,7 @@ def v2(n: int) -> int:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
                  73, 79, 83, 89, 97)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 # Strong-pseudoprime thresholds: testing against the listed bases is a proof
 # of primality for n below the bound.
@@ -172,11 +173,9 @@ def is_prime(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
     Deterministic below DETERMINISTIC_PRIMALITY_BOUND; composite answers
     are certain at every size.
     """
-    if n < 2:
-        return "composite"
+    if n <= 97:
+        return "prime" if n in _SMALL_PRIME_SET else "composite"
     for p in _SMALL_PRIMES:
-        if n == p:
-            return "prime"
         if n % p == 0:
             return "composite"
     if n < _SMALL_PRIMES[-1] ** 2:

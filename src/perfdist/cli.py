@@ -170,6 +170,16 @@ def _scan_record(cfg: DeciderConfig, fingerprint: str, b: int) -> dict:
     }
 
 
+def _scan_line(rec: dict) -> str:
+    # canonical_json(rec) + "\n" at a fifth of its cost: keys in sorted order, and
+    # each string is an ASCII word or hex digest, which JSON writes as it is
+    branches = ",".join([f'{{"d":{br["d"]},"side":"{br["side"]}","status":"{br["status"]}"}}'
+                         for br in rec["branches"]])
+    return (f'{{"b":{rec["b"]},"branches":[{branches}],'
+            f'"config_fingerprint":"{rec["config_fingerprint"]}","delta":{rec["delta"]},'
+            f'"elapsed_ms":{rec["elapsed_ms"]},"verdict":"{rec["verdict"]}"}}\n')
+
+
 def _load_scan_records(path: str) -> dict[int, dict]:
     """Records of an earlier scan by delta, for resuming it.
 
@@ -238,7 +248,7 @@ def cmd_scan(args) -> int:
     new_lines = {}  # each new record's line, encoded once for both writes
     with out_fh:
         def emit(rec):
-            line = new_lines[rec["delta"]] = canonical_json(rec) + "\n"
+            line = new_lines[rec["delta"]] = _scan_line(rec)
             records[rec["delta"]] = rec
             out_fh.write(line)
             out_fh.flush()

@@ -125,10 +125,6 @@ class Branch(NamedTuple):
     c: int
     status: BranchStatus | None = None
 
-    @property
-    def equation(self) -> RNEquation:
-        return RNEquation(self.d, self.c)
-
     def to_dict(self) -> dict:
         out = {"side": self.side, "d": self.d, "c": self.c}
         if self.status is not None:
@@ -141,14 +137,19 @@ class Branch(NamedTuple):
 class BranchGeneration(NamedTuple):
     """Surviving branches plus the facts behind every pruned (side, d) pair.
 
-    `pruning` holds (side, d, c, v, checks) per pruned pair: v is the side
-    value's 2-adic valuation for p > v, and checks pairs each prime p <= v
-    with its solution or None; `pruned` renders the certificates on each read.
+    `surviving` holds (side, d, c) per surviving pair and `pruning` holds
+    (side, d, c, v, checks) per pruned pair: v is the side value's 2-adic
+    valuation for p > v, and checks pairs each prime p <= v with its
+    solution or None.  `branches` and `pruned` render them on each read.
     """
 
-    branches: tuple[Branch, ...]
+    surviving: tuple[tuple, ...]
     pruning: tuple[tuple, ...]
     forced_candidate_primes: tuple[int, ...]
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(Branch(*pair) for pair in self.surviving)
 
     @property
     def pruned(self) -> tuple[dict, ...]:
@@ -173,7 +174,7 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
     if b < 3:
         raise ValueError("triangular index must be >= 3")
     divisors = squarefree_divisors(2 * (2 * b - 1), cfg.budget)
-    branches = []
+    surviving = []
     pruning = []
     forced = set()
     for side in ("A", "B"):
@@ -185,17 +186,19 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
         small_primes = [p for p in range(2, v + 1) if is_prime(p) == "prime"]
         for d in divisors:
             if (d % 2 == 0) == want_even_d:
-                branches.append(Branch(side, d, c))
+                surviving.append((side, d, c))
                 continue
             checks = []
-            for p in small_primes:
-                s = solution_at(RNEquation(d, c, known_squarefree=True), p)
-                checks.append((p, s))
-                if s is not None:
-                    forced.add(p)
+            if small_primes:
+                eq = RNEquation(d, c, known_squarefree=True)
+                for p in small_primes:
+                    s = solution_at(eq, p)
+                    checks.append((p, s))
+                    if s is not None:
+                        forced.add(p)
             pruning.append((side, d, c, v, tuple(checks)))
     # divisors come increasing and side A first, so branches are in (side, d) order
-    return BranchGeneration(tuple(branches), tuple(pruning), tuple(sorted(forced)))
+    return BranchGeneration(tuple(surviving), tuple(pruning), tuple(sorted(forced)))
 
 
 class CandidateCheck(NamedTuple):
@@ -344,7 +347,8 @@ class DecisionReport(NamedTuple):
 
 
 def _min_exponent(delta: int) -> int:
-    p = 2
+    # here 2^(p-1)*(2^p - 1) < 2^(2p-1) <= delta still holds
+    p = max(2, (delta.bit_length() - 1) // 2)
     while _ep_value(p) <= delta:
         p += 1
         while is_prime(p) != "prime":
@@ -422,13 +426,12 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     }
 
     branches = []
-    for br in gen.branches:
-        status = analyze(RNEquation(br.d, br.c, known_squarefree=True), n_min=p_min,
-                         n_parity=n_parity, n_max=DEFAULT_N_MAX, table=cfg.table,
-                         primes_only=True)
-        branches.append(Branch(br.side, br.d, br.c, status))
+    for side, d, c in gen.surviving:
+        status = analyze(RNEquation(d, c, known_squarefree=True), p_min, n_parity,
+                         DEFAULT_N_MAX, cfg.table, primes_only=True)
+        branches.append(Branch(side, d, c, status))
         if status.status == "open":  # with n prime, a branch stays open only on open classes
-            obstructions.append(f"branch {br.side} d={br.d} open (classes {status.open_classes})")
+            obstructions.append(f"branch {side} d={d} open (classes {status.open_classes})")
 
     candidate_ps = {s.n for br in branches for s in br.status.solutions
                     if is_prime(s.n) == "prime"}

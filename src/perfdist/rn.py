@@ -48,7 +48,7 @@ class RNEquation(_Checked, _RNEquation):
             raise ValueError("c must be nonzero")
         if not known_squarefree and not is_squarefree(d):
             raise ValueError(f"d = {d} is not squarefree")
-        return super().__new__(cls, d, c)
+        return tuple.__new__(cls, (d, c))
 
     def __str__(self) -> str:
         sign = "+" if self.c >= 0 else "-"
@@ -393,8 +393,9 @@ SEARCH_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43)
 def _square_class(q: int) -> tuple[int, ...]:
     # by d mod q, the least d' of d's Legendre symbol: d'*x^2 takes the values of
     # d*x^2 mod q, so a search prime's classes take 2q + 1 memo keys, not q^2
-    symbols = [pow(d, (q - 1) // 2, q) for d in range(q)]
-    return tuple(symbols.index(s) for s in symbols)
+    squares = set(_modulus_tables(q)[2])
+    non_square = min(set(range(q)) - squares)
+    return tuple(d if d < 2 else 1 if d in squares else non_square for d in range(q))
 
 
 @lru_cache(maxsize=None)
@@ -464,7 +465,7 @@ def analyze(eq: RNEquation,
     if entry is not None:
         return BranchStatus(eq, "closed_complete", _in_range(entry.solutions, n_min, n_parity),
                             "completeness_table", entry)
-    exact = adjacent_powers(eq)
+    exact = adjacent_powers(eq) if eq.d <= 2 else None  # it needs d = |c| in {1, 2}
     if exact is not None:
         return BranchStatus(eq, "closed_complete", _in_range(exact, n_min, n_parity),
                             "adjacent_powers")
@@ -483,7 +484,7 @@ def analyze(eq: RNEquation,
     facts = (n_min, n_parity, mask, primes_only, n_max)
     leftover = _exponents(n_min, valid_from, n_parity)
     if not mask or primes_only and not mask & units:
-        found = _solutions_at(eq, leftover)
+        found = _solutions_at(eq, leftover) if n_min < valid_from else ()
         return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), "finite_checks", facts)
 
     # exact: every sieve is sound, so a solution with n >= valid_from lies

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from perfdist import rn
+from perfdist import cli, rn
 from perfdist.cli import main
-from perfdist.decider import BranchGeneration, canonical_json, decide
+from perfdist.decider import BranchGeneration, DeciderConfig, canonical_json, decide
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,19 @@ def test_scan_basic(tmp_path, capsys):
     for rec in records:
         assert {"b", "delta", "verdict", "branches", "elapsed_ms",
                 "config_fingerprint"} <= set(rec)
+
+
+def test_scan_line_is_the_canonical_json_of_its_record():
+    cfg = DeciderConfig()
+    fingerprint = cfg.fingerprint()
+    records = [cli._scan_record(cfg, fingerprint, b) for b in range(3, 3000)
+               if b * (b - 1) // 2 % 4 == 3]
+    assert len(records) == 750
+    rec = records[-1]
+    fabricated = [{**rec, "branches": []}, {**rec, "verdict": "solution_found"},
+                  {**rec, "elapsed_ms": 1000}, {**rec, "elapsed_ms": 123456}]
+    for rec in records + fabricated:
+        assert cli._scan_line(rec) == canonical_json(rec) + "\n", rec
 
 
 def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):

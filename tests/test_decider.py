@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from perfdist import rn
+from perfdist import decider, rn
 from perfdist.arith import (
     BudgetConfig,
     factorize,
@@ -24,7 +24,7 @@ from perfdist.decider import (
 )
 from perfdist.mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect, lucas_lehmer
 
-from oracles import divisor_sum_naive
+from oracles import divisor_sum_naive, trial_division_is_prime
 
 
 def test_case_analysis_examples():
@@ -306,6 +306,23 @@ def test_reports_are_byte_identical_to_pinned_digest():
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
         "4d2834476f642905c8c624087e53f03022a14dfa7ab99e608110a50206da1b8a"
+
+
+def test_min_exponent_is_the_least_prime_past_delta():
+    # the definition: walk up from p = 2 to the first prime p with m(p) > delta
+    def m(p):
+        return (1 << (p - 1)) * ((1 << p) - 1)
+
+    def least(delta):
+        p = 2
+        while m(p) <= delta or not trial_division_is_prime(p):
+            p += 1
+        return p
+
+    primes = [p for p in range(2, 62) if trial_division_is_prime(p)]
+    deltas = list(range(1, 100_000, 2)) + [m(p) + e for p in primes for e in (-1, 1)]
+    for delta in deltas:
+        assert decider._min_exponent(delta) == least(delta), delta
 
 
 def test_reports_are_byte_identical_over_the_benchmark_ranges():

@@ -413,6 +413,17 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
     assert mismatches
 
 
+def test_square_class_is_the_least_residue_of_the_same_legendre_symbol():
+    for q in rn.SEARCH_PRIMES:
+        symbol = [pow(d, (q - 1) // 2, q) for d in range(q)]  # Euler's criterion
+        canonical = rn._square_class.__wrapped__(q)
+        assert len(canonical) == q
+        for d in range(q):
+            rep = canonical[d]
+            assert symbol[rep] == symbol[d], (q, d)
+            assert all(symbol[e] != symbol[d] for e in range(rep)), (q, d)
+
+
 def test_search_prime_classes_depend_on_the_square_class_of_d():
     for q in rn.SEARCH_PRIMES:
         assert power_cycle(q)[0] == 0 and 720720 % power_cycle(q)[1] == 0
