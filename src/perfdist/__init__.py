@@ -12,7 +12,6 @@ from .arith import (
     DEFAULT_BUDGET,
     FactorBudgetError,
     Factorization,
-    euler_form_filter,
     factorize,
     integer_sqrt,
     is_perfect,

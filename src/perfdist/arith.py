@@ -389,27 +389,3 @@ def is_squarefree(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> bool:
         raise FactorBudgetError(f"cannot certify {n} squarefree: factorization incomplete")
     return all(e == 1 for _, e in f.factors)
 
-
-def euler_form_filter(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
-    """Screen an odd n against the shape every odd perfect number must have.
-
-    "impossible" when n is not 1 mod 4, or (with a complete factorization)
-    when the prime signature is not one prime q = 1 mod 4 carrying an
-    exponent = 1 mod 4 with all other exponents even.  "unknown" when the
-    mod-4 test passes but the factorization is incomplete.  This is a
-    necessary-condition filter; perfectness itself is settled by is_perfect.
-    """
-    if n < 1:
-        raise ValueError("euler_form_filter requires n >= 1")
-    if n % 2 == 0:
-        raise ValueError("euler_form_filter is defined for odd n only")
-    if n % 4 != 1:
-        return "impossible"
-    f = factorize(n, cfg)
-    if not f.complete:
-        return "unknown"
-    odd_exp = [(p, e) for p, e in f.factors if e % 2 == 1]
-    if len(odd_exp) != 1:
-        return "impossible"
-    q, e = odd_exp[0]
-    return "possible" if q % 4 == 1 and e % 4 == 1 else "impossible"

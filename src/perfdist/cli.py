@@ -71,6 +71,11 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
                    help="emit the machine-readable record instead of text")
 
 
+def _via(rule: str | None) -> str:
+    # a value past the odd-perfect bound has no rule, and prints none
+    return "" if rule is None else f" [{rule}]"
+
+
 def _render_decision(report) -> str:
     lines = [f"delta = {report.delta}"]
     ca = report.case_analysis
@@ -78,7 +83,7 @@ def _render_decision(report) -> str:
                  f"mod 4 = {ca.mod4_class}, triangular index b = {ca.b}")
     if report.delta_plus_6_check:
         d6 = report.delta_plus_6_check
-        lines.append(f"  delta + 6 = {d6['value']}: {d6['perfect_status']} [{d6['rule']}]")
+        lines.append(f"  delta + 6 = {d6['value']}: {d6['perfect_status']}{_via(d6['rule'])}")
     for br in report.branches:
         sols = ", ".join(f"(x={s.x}, n={s.n})" for s in br.status.solutions) or "none"
         if br.status.status == "closed_complete":
@@ -94,9 +99,8 @@ def _render_decision(report) -> str:
             factor = "" if cand.mersenne_factor is None else f" (factor {cand.mersenne_factor})"
             lines.append(f"  candidate p={cand.p}: 2^p - 1 {cand.mersenne_status}{factor}")
         else:
-            via = cand.rule if cand.euler_filter is None else f"{cand.rule}, euler {cand.euler_filter}"
             lines.append(f"  candidate p={cand.p}: m = {cand.m}, m - delta = {cand.n_candidate}: "
-                         f"{cand.perfect_status} [{via}] -> {cand.outcome}")
+                         f"{cand.perfect_status}{_via(cand.rule)} -> {cand.outcome}")
     for obs in report.obstructions:
         lines.append(f"  obstruction: {obs}")
     lines.append(f"verdict: {report.verdict}")

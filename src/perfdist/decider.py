@@ -6,9 +6,10 @@ triangular and 3 mod 4), the delta+6 perfectness check, branch generation
 over squarefree divisors with 2-adic parity pruning, equation analysis
 with n restricted to primes, and verification of every candidate exponent
 (a small-factor search on 2^p - 1, then Lucas-Lehmer, then a perfectness
-check).  Both perfectness checks are on odd numbers and try the cheapest
-rule first: the Ochem-Rao bound, then the divisor sum from a factorization.  The report carries enough
-certificates to re-check the verdict independently.
+check).  Both perfectness checks are on odd numbers, and one rule settles
+them: the Ochem-Rao bound, no odd perfect number lies below 10**1500.  A
+value at or above it is reported "unknown", never factored.  The report
+carries enough certificates to re-check the verdict independently.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from . import mersenne
 from .arith import (
     BudgetConfig,
     DEFAULT_BUDGET,
-    DETERMINISTIC_PRIMALITY_BOUND,
     FactorBudgetError,
-    euler_form_filter,
-    factorize,
     is_perfect,
     is_prime,
     squarefree_divisors,
@@ -51,8 +49,13 @@ ODD_PERFECT_SOURCE = ("P. Ochem and M. Rao, Odd perfect numbers are greater than
 _ODD_PERFECT_LIMIT = 10**ODD_PERFECT_LOG10_BOUND
 
 
-def _below_odd_perfect_bound(n: int) -> bool:
-    return n % 2 == 1 and n < _ODD_PERFECT_LIMIT
+def _odd_perfect_check(value: int) -> tuple[str, str | None]:
+    # (perfect_status, rule) of an odd value: only the bound settles it
+    if value % 2 == 0:
+        raise ValueError("the odd-perfect bound settles odd values only")
+    if value < _ODD_PERFECT_LIMIT:
+        return "not_perfect", "odd_perfect_bound"
+    return "unknown", None
 
 
 def canonical_json(obj) -> str:
@@ -208,11 +211,8 @@ class CandidateCheck(NamedTuple):
     mersenne_status: str  # "prime" | "composite" | "untested"
     m: int | None = None
     n_candidate: int | None = None
-    euler_filter: str | None = None
     perfect_status: str | None = None
-    factorization: dict | None = None
-    probable_prime_factors: tuple[int, ...] = ()
-    rule: str | None = None  # "odd_perfect_bound" | "divisor_sum" once m - delta >= 1
+    rule: str | None = None  # "odd_perfect_bound" once 1 <= m - delta < 10**1500
     mersenne_factor: int | None = None  # a factor of 2**p - 1 certifying "composite"
 
     @property
@@ -221,9 +221,8 @@ class CandidateCheck(NamedTuple):
             return "eliminated"
         if self.mersenne_status == "untested":
             return "unresolved"
-        if self.perfect_status == "perfect":
-            return "solution"
-        if self.perfect_status == "not_perfect" or self.euler_filter == "impossible":
+        # m - delta < 1 leaves no positive partner; no rule can find m - delta perfect
+        if self.perfect_status == "not_perfect" or self.n_candidate < 1:
             return "eliminated"
         return "unresolved"
 
@@ -234,10 +233,7 @@ class CandidateCheck(NamedTuple):
             "mersenne_factor": self.mersenne_factor,
             "m": self.m,
             "n_candidate": self.n_candidate,
-            "euler_filter": self.euler_filter,
             "perfect_status": self.perfect_status,
-            "factorization": self.factorization,
-            "probable_prime_factors": list(self.probable_prime_factors),
             "rule": self.rule,
             "outcome": self.outcome,
         }
@@ -248,14 +244,14 @@ def _ep_value(p: int) -> int:
     return (1 << (p - 1)) * ((1 << p) - 1)
 
 
-def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> CandidateCheck:
+def check_candidate(p: int, delta: int) -> CandidateCheck:
     """Test whether exponent p yields the pair (2**(p-1)*(2**p - 1), that minus delta).
 
     2**p - 1 is "composite" with its factor when `mersenne.small_factor`
     finds one (cached, so classify's search is not repeated), and then
     Lucas-Lehmer never runs.  m - delta is odd for odd delta; below
-    10**1500 the Ochem-Rao bound settles it with no factoring, above it
-    the divisor sum does.
+    10**1500 the Ochem-Rao bound settles it with no factoring, and at or
+    above it the perfectness stays "unknown".
     """
     status = mersenne.classify(p)
     if status != "prime":
@@ -265,23 +261,12 @@ def check_candidate(p: int, delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> 
     n_cand = m - delta
     if n_cand < 1:
         return CandidateCheck(p, "prime", m, n_cand)
-    if _below_odd_perfect_bound(n_cand):
-        return CandidateCheck(p, "prime", m, n_cand, perfect_status="not_perfect",
-                              rule="odd_perfect_bound")
-    euler = euler_form_filter(n_cand, cfg.budget)
-    perfect = is_perfect(n_cand, cfg.budget)
-    f = factorize(n_cand, cfg.budget)
-    # factorize admits a factor this large only once is_prime says "probably_prime"
-    probable = tuple(q for q, _ in f.factors if q >= DETERMINISTIC_PRIMALITY_BOUND)
-    return CandidateCheck(p, "prime", m, n_cand, euler, perfect, f.to_dict(), probable,
-                          "divisor_sum")
+    return CandidateCheck(p, "prime", m, n_cand, *_odd_perfect_check(n_cand))
 
 
-def _delta_plus_6_check(delta: int, budget: BudgetConfig) -> dict:
-    value = delta + 6
-    if _below_odd_perfect_bound(value):
-        return {"value": value, "perfect_status": "not_perfect", "rule": "odd_perfect_bound"}
-    return {"value": value, "perfect_status": is_perfect(value, budget), "rule": "divisor_sum"}
+def _delta_plus_6_check(delta: int) -> dict:
+    status, rule = _odd_perfect_check(delta + 6)
+    return {"value": delta + 6, "perfect_status": status, "rule": rule}
 
 
 class PairCheck(NamedTuple):
@@ -315,7 +300,7 @@ class DecisionReport(NamedTuple):
     delta_plus_6_check: dict | None
     branches: tuple[Branch, ...]
     candidates: tuple[CandidateCheck, ...]
-    verdict: str  # "eliminated" | "inconclusive" | "solution_found" | "out_of_scope"
+    verdict: str  # "eliminated" | "inconclusive" | "out_of_scope"
     base_certificates: dict
     obstructions: tuple[str, ...]
     config: DeciderConfig
@@ -362,9 +347,10 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     eliminated: delta provably cannot be the distance between two perfect
     numbers (every branch closed, every candidate refuted, delta+6 not
     perfect -- or the mod-12 filter already blocks it).  inconclusive: an
-    open branch or an exhausted budget stands in the way; the obstruction
-    is named.  solution_found: an actual pair was exhibited.
-    out_of_scope: the method does not cover this delta.
+    open branch, an exhausted budget or a value past the odd-perfect bound
+    stands in the way; the obstruction is named.  out_of_scope: the method
+    does not cover this delta.  A pair would need an odd perfect number, so
+    decide never returns "solution_found".
     """
     ca = case_analysis(delta)
     certificates: dict = {
@@ -386,10 +372,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     if ca.touchard_blocked:
         certificates["touchard"]["conclusion"] = (
             "delta = +-1 mod 12 can never be a distance between two perfect numbers")
-        d6 = _delta_plus_6_check(delta, cfg.budget)
-        if d6["perfect_status"] == "perfect":  # unreachable if the mod-12 theorem holds
-            return report("solution_found", d6)
-        return report("eliminated", d6)
+        return report("eliminated", _delta_plus_6_check(delta))
 
     if not ca.in_scope:
         reason = ("delta = 1 mod 4 would require an odd perfect number exceeding an even one; "
@@ -401,12 +384,10 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
 
     obstructions: list[str] = []
 
-    d6 = _delta_plus_6_check(delta, cfg.budget)
-    if d6["perfect_status"] == "perfect":
-        certificates["exhibited_pair"] = [d6["value"], 6]
-        return report("solution_found", d6)
+    d6 = _delta_plus_6_check(delta)
     if d6["perfect_status"] == "unknown":
-        obstructions.append(f"perfectness of delta + 6 = {d6['value']} unknown within factor budget")
+        obstructions.append(f"perfectness of delta + 6 = {d6['value']} unknown: "
+                            f"not below the odd-perfect bound 10^{ODD_PERFECT_LOG10_BOUND}")
 
     assert ca.b is not None
     try:
@@ -425,10 +406,12 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
         "reason": "least prime p with 2^(p-1)*(2^p - 1) > delta; smaller p cannot give m - delta >= 1",
     }
 
+    # analyze needs n_max >= n_min, and p_min passes DEFAULT_N_MAX once delta >= m(1999)
+    n_max = max(DEFAULT_N_MAX, p_min)
     branches = []
     for side, d, c in gen.surviving:
         status = analyze(RNEquation(d, c, known_squarefree=True), p_min, n_parity,
-                         DEFAULT_N_MAX, cfg.table, primes_only=True)
+                         n_max, cfg.table, primes_only=True)
         branches.append(Branch(side, d, c, status))
         if status.status == "open":  # with n prime, a branch stays open only on open classes
             obstructions.append(f"branch {side} d={d} open (classes {status.open_classes})")
@@ -436,16 +419,13 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     candidate_ps = {s.n for br in branches for s in br.status.solutions
                     if is_prime(s.n) == "prime"}
     candidate_ps.update(p for p in gen.forced_candidate_primes if p >= p_min)
-    candidates = [check_candidate(p, delta, cfg) for p in sorted(candidate_ps)]
+    candidates = [check_candidate(p, delta) for p in sorted(candidate_ps)]
 
     for cand in candidates:
-        if cand.outcome == "solution":
-            certificates["exhibited_pair"] = [cand.m, cand.n_candidate]
-            return report("solution_found", d6, branches, candidates, obstructions, gen)
         if cand.outcome == "unresolved":
             why = ("Mersenne test skipped: exponent above cap"
                    if cand.mersenne_status == "untested"
-                   else "perfectness unknown within factor budget")
+                   else f"m - delta not below the odd-perfect bound 10^{ODD_PERFECT_LOG10_BOUND}")
             obstructions.append(f"candidate p={cand.p} unresolved ({why})")
 
     return report("inconclusive" if obstructions else "eliminated", d6, branches, candidates,

@@ -371,8 +371,7 @@ class BranchStatus(NamedTuple):
             # a class r with gcd(r, 60) > 1 holds at most the prime gcd(r, 60) <= 5,
             # below valid_from (64's threshold is 6), so the finite checks test it
             trace.append({"rule": "prime_class_closure", "n_restricted_to_primes": True,
-                          "closed_classes": [{"residue": r, "gcd": gcd(r, period),
-                                              "prime_to_check": None}
+                          "closed_classes": [{"residue": r, "gcd": gcd(r, period)}
                                              for r in _set_bits(mask & ~units)],
                           "open_classes": self.open_classes})
         if self.rule == "finite_checks":

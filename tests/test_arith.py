@@ -9,7 +9,6 @@ from perfdist.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
     FactorBudgetError,
     Factorization,
-    euler_form_filter,
     factorize,
     integer_sqrt,
     is_perfect,
@@ -325,21 +324,3 @@ def test_squarefree_divisors_budget_error():
     with pytest.raises(FactorBudgetError):
         squarefree_divisors(HARD_P * HARD_Q, TINY_BUDGET)
 
-
-def test_euler_form_filter():
-    assert euler_form_filter(13) == "possible"
-    assert euler_form_filter(3) == "impossible"  # 3 mod 4
-    assert euler_form_filter(25) == "impossible"  # no odd exponent
-    assert euler_form_filter(9) == "impossible"
-    assert euler_form_filter(45) == "possible"  # 3^2 * 5
-    assert euler_form_filter(1) == "impossible"
-    assert euler_form_filter(5**3) == "impossible"  # exponent 3 != 1 mod 4
-    assert euler_form_filter(5**5) == "possible"
-    with pytest.raises(ValueError):
-        euler_form_filter(10)
-
-
-def test_euler_form_filter_unknown_on_budget():
-    n = HARD_P * HARD_Q  # both 1 mod 4, so the product passes the mod-4 test
-    assert n % 4 == 1
-    assert euler_form_filter(n, TINY_BUDGET) == "unknown"

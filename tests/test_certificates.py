@@ -146,12 +146,10 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
             for cl in closure["closed_classes"]:
                 g = gcd(cl["residue"], period) or period
                 assert cl["gcd"] == g and g > 1
+                # a prime the class holds at or past valid_from must be checked too
                 if (naive_is_prime(g) and g % period == cl["residue"]
                         and g >= combo["valid_from"] and parity_ok(g, parity)):
-                    assert cl["prime_to_check"] == g
                     must_check.add(g)
-                else:
-                    assert cl["prime_to_check"] is None
         assert set(finite["n_values"]) == must_check
         expected = [s for n in sorted(must_check)
                     if (s := exact_solution(d, c, n)) is not None]
@@ -165,13 +163,23 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         assert exact_solution(d, c, s[1]) == s
 
 
-def check_perfectness(report: dict, entry: dict, value: int) -> None:
-    """An odd value below 10^1500 is not perfect (Ochem and Rao, 2012)."""
-    assert entry["rule"] in ("odd_perfect_bound", "divisor_sum")
+def check_perfectness(report: dict, entry: dict, value: int, decisive: bool) -> None:
+    """An odd value below 10^1500 is not perfect (Ochem and Rao, 2012).
+
+    That bound is the only rule: a value at or past it must be "unknown"
+    with no rule.  When the verdict rests on the value (every check of a
+    delta the mod-12 filter does not block), it must not be "eliminated".
+    """
+    assert value % 2 == 1
     if entry["rule"] == "odd_perfect_bound":
         assert entry["perfect_status"] == "not_perfect"
-        assert value % 2 == 1 and value < 10**1500
+        assert value < 10**1500
         assert report["certificates"]["odd_perfect_bound"]["log10_bound"] == 1500
+        return
+    assert entry["rule"] is None and entry["perfect_status"] == "unknown"
+    assert value >= 10**1500
+    if decisive:
+        assert report["verdict"] != "eliminated"
 
 
 def check_report(report: dict) -> None:
@@ -183,7 +191,7 @@ def check_report(report: dict) -> None:
     assert touchard["blocked"] == (delta % 12 in (1, 11))
     if touchard["blocked"]:
         assert report["verdict"] == "eliminated"
-        check_perfectness(report, report["delta_plus_6"], delta + 6)
+        check_perfectness(report, report["delta_plus_6"], delta + 6, decisive=False)
         return
 
     b = report["case_analysis"]["b"]
@@ -193,7 +201,7 @@ def check_report(report: dict) -> None:
     assert d6["value"] == delta + 6
     if d6["perfect_status"] == "not_perfect":
         assert naive_sigma(delta + 6) != 2 * (delta + 6)
-    check_perfectness(report, d6, delta + 6)
+    check_perfectness(report, d6, delta + 6, decisive=True)
 
     floor = report["certificates"]["exponent_floor"]
     p_min, parity = floor["p_min"], floor["n_parity"]
@@ -246,7 +254,7 @@ def check_report(report: dict) -> None:
         assert cand["m"] == m and cand["n_candidate"] == m - delta
         if cand["perfect_status"] == "not_perfect":
             assert naive_sigma(m - delta) != 2 * (m - delta)
-        check_perfectness(report, cand, m - delta)
+        check_perfectness(report, cand, m - delta, decisive=True)
 
     if report["verdict"] == "eliminated":
         assert d6["perfect_status"] == "not_perfect"
@@ -265,6 +273,12 @@ def test_certificates_replay_for_worked_deltas():
 
 def test_certificates_replay_for_blocked_and_inconclusive():
     report = json.loads(decide(11).to_json())
+    check_report(report)
+
+    # delta + 6 past the odd-perfect bound: the mod-12 filter alone eliminates
+    report = json.loads(decide(10**1500 + 9).to_json())
+    assert report["verdict"] == "eliminated"
+    assert report["delta_plus_6"]["perfect_status"] == "unknown"
     check_report(report)
 
     report = json.loads(decide(55).to_json())

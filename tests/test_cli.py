@@ -23,10 +23,15 @@ def test_decide_exit_codes(capsys):
     # the text names the rule that settled delta + 6 and each candidate
     assert "delta + 6 = 21: not_perfect [odd_perfect_bound]" in out
     assert "m - delta = 13: not_perfect [odd_perfect_bound] -> eliminated" in out
-    assert "euler None" not in out
+    assert "[None]" not in out
 
     code, out, _ = run_cli(capsys, "decide", "11")
     assert code == 0
+
+    # past the odd-perfect bound no rule settles delta + 6, and none is printed
+    code, out, _ = run_cli(capsys, "decide", str(10**1500 + 9))
+    assert code == 0 and f"delta + 6 = {10**1500 + 15}: unknown\n" in out
+    assert "[None]" not in out
 
     # a factor of 2^p - 1 is printed with the composite status
     code, out, _ = run_cli(capsys, "decide", "55")

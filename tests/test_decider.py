@@ -8,7 +8,6 @@ from perfdist.arith import (
     BudgetConfig,
     factorize,
     is_perfect,
-    is_prime,
     is_squarefree,
     squarefree_divisors,
 )
@@ -99,9 +98,8 @@ def test_check_candidate_examples():
 
     c = check_candidate(3, 3)
     assert (c.m, c.n_candidate, c.perfect_status) == (28, 25, "not_perfect")
-    # the odd-perfect bound settles 25 before the mod-4 test or any factoring
+    # the odd-perfect bound settles 25 with no factoring
     assert c.rule == "odd_perfect_bound"
-    assert c.euler_filter is None and c.factorization is None
 
     c = check_candidate(3, 15)
     assert (c.m, c.n_candidate, c.perfect_status) == (28, 13, "not_perfect")
@@ -110,6 +108,13 @@ def test_check_candidate_examples():
     c = check_candidate(2, 3)
     assert c.mersenne_status == "prime" and c.n_candidate == 3
     assert c.outcome == "eliminated"
+
+    # m <= delta leaves no positive partner, so nothing is left to resolve
+    c = check_candidate(3, 99)
+    assert (c.m, c.n_candidate, c.perfect_status, c.rule) == (28, -71, None, None)
+    assert c.outcome == "eliminated" and c.to_dict()["outcome"] == "eliminated"
+    assert check_candidate(3, 27).outcome == "eliminated"  # m - delta = 1 is not perfect
+    assert check_candidate(3, 29).outcome == "eliminated"  # m - delta = -1
 
     c = check_candidate(11, 55)
     assert c.mersenne_status == "composite" and c.outcome == "eliminated"
@@ -123,22 +128,6 @@ def test_check_candidate_runs_lucas_lehmer_once():
     assert (info.misses, info.hits) == (1, 0)
 
 
-def test_check_candidate_reports_probable_prime_factors():
-    # q is the least probable prime above 10^30, past the deterministic bound;
-    # the factor 5^2150 lifts n above 10^1500, where factoring decides
-    q = 10**30 + 57
-    assert is_prime(q) == "probably_prime"
-    assert all(is_prime(10**30 + k) == "composite" for k in range(1, 57))
-    n = q * 5**2150
-    assert n > 10**ODD_PERFECT_LOG10_BOUND
-    m = even_perfect(3217)
-    c = check_candidate(3217, m - n)
-    assert c.n_candidate == n and c.rule == "divisor_sum"
-    assert c.factorization["factors"] == [[5, 2150], [q, 1]]
-    assert c.probable_prime_factors == (q,)
-    assert c.perfect_status == "not_perfect" and c.outcome == "eliminated"
-
-
 def test_check_candidate_settles_by_odd_perfect_bound():
     # b = 2^55 + 3 forces the candidate p = 107; its m - delta has 61 digits
     b = (1 << 55) + 3
@@ -147,29 +136,54 @@ def test_check_candidate_settles_by_odd_perfect_bound():
     c = check_candidate(107, delta)
     assert c.mersenne_status == "prime" and c.n_candidate % 2 == 1
     assert (c.rule, c.perfect_status, c.outcome) == ("odd_perfect_bound", "not_perfect", "eliminated")
-    assert c.euler_filter is None and c.factorization is None
+    assert set(c.to_dict()) == {"p", "mersenne_status", "mersenne_factor", "m", "n_candidate",
+                                "perfect_status", "rule", "outcome"}
     assert factorize.cache_info().misses == 0
 
 
 def test_odd_perfect_bound_boundary():
     limit = 10**ODD_PERFECT_LOG10_BOUND
     m = even_perfect(3217)
-    # a starved budget keeps the factoring above the bound short
-    starved = DeciderConfig(budget=BudgetConfig(trial_division_bound=100,
-                                                rho_iteration_budget=1,
-                                                primality_rounds=2))
     factorize.cache_clear()
-    below = check_candidate(3217, m - (limit - 1), starved)
+    below = check_candidate(3217, m - (limit - 1))
     assert below.n_candidate == limit - 1
     assert (below.rule, below.perfect_status) == ("odd_perfect_bound", "not_perfect")
+
+    # past the bound no rule applies, and nothing is factored
+    above = check_candidate(3217, m - (limit + 1))
+    assert above.n_candidate == limit + 1
+    assert (above.rule, above.perfect_status, above.outcome) == (None, "unknown", "unresolved")
     assert factorize.cache_info().misses == 0
 
-    above = check_candidate(3217, m - (limit + 1), starved)
-    assert above.n_candidate == limit + 1 and above.rule == "divisor_sum"
-    assert factorize.cache_info().misses == 1
-    assert above.factorization["value"] == limit + 1
-    assert not above.factorization["complete"] and above.perfect_status == "unknown"
-    assert above.outcome == "unresolved"
+    # an even delta gives an even m - delta, which the bound does not cover
+    with pytest.raises(ValueError):
+        check_candidate(3, 2)
+
+
+def test_delta_past_the_odd_perfect_bound_is_settled_without_factoring():
+    # 10^1500 + 9 = 1 mod 12: the mod-12 filter eliminates it, and delta + 6
+    # lies past the bound, so its perfectness stays unknown
+    factorize.cache_clear()
+    rep = decide(10**ODD_PERFECT_LOG10_BOUND + 9)
+    assert rep.verdict == "eliminated"
+    assert rep.delta_plus_6_check == {"value": 10**ODD_PERFECT_LOG10_BOUND + 15,
+                                      "perfect_status": "unknown", "rule": None}
+    assert "odd_perfect_bound" not in rep.certificates
+    assert factorize.cache_info().misses == 0
+
+
+def test_decide_past_the_exponent_bound_closes_every_branch():
+    # 2b - 1 = 3^1263 gives a 1205-digit delta whose least exponent p_min = 2003
+    # passes DEFAULT_N_MAX = 2000; analyze still gets n_max >= n_min
+    b = (3**1263 + 1) // 2
+    delta = b * (b - 1) // 2
+    assert delta % 4 == 3 and len(str(delta)) == 1205
+    rep = decide(delta)
+    assert rep.certificates["exponent_floor"]["p_min"] == 2003 > rn.DEFAULT_N_MAX
+    assert rep.verdict == "eliminated" and rep.obstructions == ()
+    assert len(rep.branches) == 4 and rep.candidates == ()
+    assert all(br.status.status == "closed_finite_n" for br in rep.branches)
+    assert rep.delta_plus_6_check["rule"] == "odd_perfect_bound"
 
 
 def test_decide_3():
@@ -305,7 +319,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "4d2834476f642905c8c624087e53f03022a14dfa7ab99e608110a50206da1b8a"
+        "3b6363c326a161a46e6644fd77ca5e9b3e201bd9d7cdc6dc3aef8e583cc613c6"
 
 
 def test_min_exponent_is_the_least_prime_past_delta():
@@ -339,11 +353,11 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "2fc7679a32bc6d92b9f8afdc59b155157c140e3bce49e5458e9c23c34e26a4ba"
+        "4e90db079303b0fd8c31cb3b19a553840183dff28870bddaa78bd8df3494e02a"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "5e4536762b60318ebdbf3db58d4a7cf0d5b21308be0af828c72f89e6ead5fb88"
+        "e0947ceedc7f854938ccaca0fb48f185b33e9fef89488d0a38808b63fb9d12cd"
 
 
 def test_benchmark_scan_keeps_at_most_9082_lifted_masks(monkeypatch):

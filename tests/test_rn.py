@@ -288,7 +288,7 @@ def test_analyze_prime_closure_route():
     assert st.solutions == (RNSolution(2, 2),)
     closure = next(t for t in st.rule_trace if t["rule"] == "prime_class_closure")
     assert closure["closed_classes"] == [
-        {"residue": r, "gcd": g, "prime_to_check": None}
+        {"residue": r, "gcd": g}
         for r, g in ((2, 2), (6, 6), (26, 2), (42, 6))
     ] and closure["open_classes"] == []
     # the prime 2 lies below valid_from = 6, so the finite checks test it
