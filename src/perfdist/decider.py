@@ -414,7 +414,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
                          n_max, cfg.table, primes_only=True)
         branches.append(Branch(side, d, c, status))
         if status.status == "open":  # with n prime, a branch stays open only on open classes
-            obstructions.append(f"branch {side} d={d} open (classes {status.open_classes})")
+            obstructions.append(f"branch {side} d={d}: {status.open_mask.bit_count()} open classes")
 
     candidate_ps = {s.n for br in branches for s in br.status.solutions
                     if is_prime(s.n) == "prime"}

@@ -2,28 +2,27 @@
 
 Three closure mechanisms, applied in order: a curated completeness table
 (entries carry citations and are re-verified by substitution), an exact
-rule for the x**2 +- 1 = 2**m patterns, and modular sieving of the
-residue classes of n at the fixed moduli DEFAULT_MODULI, combined at their
-common period as bit masks memoized per (modulus, d mod m, c mod m,
-odd-only), and optionally closed by the "n must be prime" side condition.
-Whatever survives is reported open, with a bounded search over the
-exponents that every sieve and every SEARCH_PRIMES sieve keeps; each sieve
-is sound, so it finds every solution up to the bound.  analyze records
-only facts: the closing rule, the surviving mask and the (n_min, n_parity)
-sieved under.  The rule trace, a certificate per applied rule, is rendered
-from them when read.
+rule for the x**2 +- 1 = 2**m patterns, and one modular sieve: the classes
+of n mod 27720 that every modulus of DEFAULT_MODULI keeps, and when n must
+be prime, only those prime to 27720.  Whatever survives is reported open,
+with a bounded search over the surviving classes; each sieve is sound, so
+it finds every solution up to the bound.  analyze records only facts (the
+closing rule, the surviving mask, the n_min and n_parity sieved under),
+from which the rule trace, a certificate per applied rule, is rendered.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .arith import _Checked, is_squarefree, order_of_two, v2
+from .arith import _Checked, is_prime, is_squarefree, order_of_two, v2
 
-DEFAULT_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 32, 64)
+# In the order analyze ANDs them: the first six have periods dividing 60, and
+# all combine to 27720.  None divides another (solvable mod k means mod k's divisors).
+DEFAULT_MODULI = (5, 7, 9, 11, 13, 64, 17, 19, 23, 29, 31, 37, 41, 43)
 DEFAULT_N_MAX = 2000
 # the per-modulus tables of sieve() cost time and memory linear in the
 # modulus; a larger one would run for minutes before any answer.
@@ -128,17 +127,9 @@ class SieveReport(NamedTuple):
 
     def to_dict(self) -> dict:
         # the "sieve" rule-trace entry; every list and dict in it is new
-        return {
-            "rule": "sieve",
-            "equation": self.equation.to_dict(),
-            "modulus": self.modulus,
-            "n_min": self.n_min,
-            "n_parity": self.n_parity,
-            "n_threshold": self.n_threshold,
-            "period": self.period,
-            "surviving_classes": list(self.surviving_classes),
-            "small_n_to_check": list(self.small_n_to_check),
-        }
+        return {"rule": "sieve", **self._asdict(), "equation": self.equation.to_dict(),
+                "surviving_classes": list(self.surviving_classes),
+                "small_n_to_check": list(self.small_n_to_check)}
 
 
 def _in_range(sols, n_min: int, n_parity: str) -> tuple[RNSolution, ...]:
@@ -166,34 +157,38 @@ def power_cycle(modulus: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(n_threshold, period, squares, cycle) for one modulus.
-
-    squares holds every x**2 mod modulus; cycle[r] is 2**n mod modulus for
-    any n = r (mod period) with n >= n_threshold, which is a function of r
-    alone because the sequence is periodic from n_threshold on.
-    """
+    """(n_threshold, period, squares, cycle): the x**2 mod modulus, and cycle[r] =
+    2**n mod modulus for every n = r (mod period) with n >= n_threshold."""
     threshold, period = power_cycle(modulus)
     squares = tuple({x * x % modulus for x in range(modulus)})
-    cycle = tuple(pow(2, threshold + (r - threshold) % period, modulus) for r in range(period))
-    return threshold, period, squares, cycle
+    cycle, power = [0] * period, pow(2, threshold, modulus)
+    for n in range(threshold, threshold + period):
+        cycle[n % period], power = power, power * 2 % modulus
+    return threshold, period, squares, tuple(cycle)
 
 
-# analyze's lifted masks by (m, d mod m, c mod m, odd_only): at most 2m**2
-# keys per ANDed modulus, 9,082 for DEFAULT_MODULI.  A scan over b < 3000
-# fills 746 of them.
+# analyze's memo: by (m, d mod m, c mod m), m's classes lifted to the mask's period
+# there.  The d of one square class share a mask: at most 3q for an odd prime q.
 _lifted: dict = {}
 
 
-def _sieve_classes(modulus: int, d: int, c: int, odd_only: bool) -> tuple[int, ...]:
-    """The classes r (mod period) where d*x**2 + c == 2**n (mod modulus) is solvable.
+@lru_cache(maxsize=None)
+def _square_class(modulus: int) -> tuple[int, ...]:
+    # by d mod m, a d' with d'*x^2 taking the values of d*x^2 mod m: for an
+    # odd prime, the least residue of d's Legendre symbol; else d itself
+    if modulus % 2 == 0 or is_prime(modulus) != "prime":
+        return tuple(range(modulus))
+    squares = set(_modulus_tables(modulus)[2])
+    non_square = min(set(range(modulus)) - squares)
+    return tuple(d if d < 2 else 1 if d in squares else non_square for d in range(modulus))
 
-    Only d and c modulo `modulus` matter, and odd_only drops the even classes.
-    """
+
+def _sieve_classes(modulus: int, d: int, c: int) -> tuple[int, ...]:
+    """The classes r (mod period) where d*x**2 + c == 2**n (mod modulus) is solvable."""
     d, c = d % modulus, c % modulus
     _, period, squares, cycle = _modulus_tables(modulus)
     reachable = {(d * s + c) % modulus for s in squares}
-    return tuple(r for r in range(period)
-                 if cycle[r] in reachable and not (odd_only and r % 2 == 0))
+    return tuple(r for r in range(period) if cycle[r] in reachable)
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -210,16 +205,16 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
     """Sieve the residue classes of n modulo the eventual period of 2**n mod modulus.
 
     Sound, never complete: a surviving class may still hold no solution.
-    When the period is even, classes fix the parity of n and the parity
-    constraint removes mismatched classes; an odd period carries both
-    parities, so the constraint cannot exclude anything at this modulus.
+    An odd-n constraint drops the even classes, and only when the period is even.
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
     if n_min < 0:
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     threshold, period = power_cycle(modulus)
-    classes = _sieve_classes(modulus, eq.d, eq.c, n_parity == "odd" and period % 2 == 0)
+    classes = _sieve_classes(modulus, eq.d, eq.c)
+    if n_parity == "odd" and period % 2 == 0:
+        classes = tuple(r for r in classes if r % 2)
     small = tuple(_exponents(n_min, threshold, n_parity))
     return SieveReport(eq, modulus, n_min, n_parity, threshold, period, classes, small)
 
@@ -253,6 +248,10 @@ class _CompletenessTable(NamedTuple):
     entries: tuple[TableEntry, ...]
 
 
+class _Entries(tuple):
+    """A table's entries, with their (d, c) index in the instance dict."""
+
+
 class CompletenessTable(_Checked, _CompletenessTable):
     """Curated equations whose full solution sets are known from the literature."""
 
@@ -261,13 +260,12 @@ class CompletenessTable(_Checked, _CompletenessTable):
     def __new__(cls, entries: tuple[TableEntry, ...]):
         for entry in entries:
             entry.verify()
+        entries = _Entries(entries)
+        entries.index = {(e.d, e.c): e for e in reversed(entries)}  # the first entry wins
         return super().__new__(cls, entries)
 
     def lookup(self, d: int, c: int) -> TableEntry | None:
-        for entry in self.entries:
-            if entry.d == d and entry.c == c:
-                return entry
-        return None
+        return self.entries.index.get((d, c))
 
     def merged_with(self, entries: tuple[TableEntry, ...]) -> "CompletenessTable":
         """New table where `entries` override same-(d, c) rows of this one."""
@@ -344,12 +342,15 @@ class BranchStatus(NamedTuple):
     rule: str
     facts: tuple = ()
 
+    def __repr__(self) -> str:  # facts may hold a mask too wide for int's decimal str()
+        return f"BranchStatus{self[:4]!r}"
+
     @property
-    def open_classes(self) -> list[int]:
-        # the classes the prime-class closure left open, [] if it did not run
+    def open_mask(self) -> int:
+        # bit r set iff the prime-class closure left class r open, 0 if it did not run
         if self.status == "closed_complete" or not self.facts[3]:
-            return []
-        return _set_bits(self.facts[2] & _sieve_plan(*self.facts[:2])[4])
+            return 0
+        return self.facts[2] & _sieve_plan()[3]
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
@@ -362,76 +363,69 @@ class BranchStatus(NamedTuple):
                      "power_shift": v2(eq.d), "kept": kept,
                      "complete_solutions": [s.as_pair() for s in adjacent_powers(eq)]},)
         n_min, n_parity, mask, primes_only, n_max = self.facts
-        period, valid_from, _, _, units = _sieve_plan(n_min, n_parity)
+        steps, threshold, _, units, _ = _sieve_plan()
+        period = steps[-1][1]
         trace = [sieve(eq, m, n_min, n_parity).to_dict() for m in DEFAULT_MODULI]
         trace.append({"rule": "sieve_combination", "moduli": list(DEFAULT_MODULI),
-                      "combined_period": period, "valid_from": valid_from,
+                      "combined_period": period, "valid_from": max(n_min, threshold),
                       "surviving_classes": _set_bits(mask)})
         if primes_only and mask:
-            # a class r with gcd(r, 60) > 1 holds at most the prime gcd(r, 60) <= 5,
-            # below valid_from (64's threshold is 6), so the finite checks test it
             trace.append({"rule": "prime_class_closure", "n_restricted_to_primes": True,
                           "closed_classes": [{"residue": r, "gcd": gcd(r, period)}
                                              for r in _set_bits(mask & ~units)],
-                          "open_classes": self.open_classes})
+                          "open_classes": _set_bits(self.open_mask)})
         if self.rule == "finite_checks":
             trace.append({"rule": self.rule, "solutions": kept,
-                          "n_values": list(_exponents(n_min, valid_from, n_parity))})
+                          "n_values": _finite_checks(n_min, n_parity, mask)})
         else:
             trace.append({"rule": self.rule, "n_min": n_min, "n_max": n_max, "solutions": kept})
         return tuple(trace)
 
 
-# Odd primes q with ord_q(2) dividing 720720, not in DEFAULT_MODULI.  Their
-# sieves are sound, so filtering the bounded search with them changes no
-# result, and they stay out of the config fingerprint.
-SEARCH_PRIMES = (17, 19, 23, 29, 31, 37, 41, 43)
-
-
-@lru_cache(maxsize=None)
-def _square_class(q: int) -> tuple[int, ...]:
-    # by d mod q, the least d' of d's Legendre symbol: d'*x^2 takes the values of
-    # d*x^2 mod q, so a search prime's classes take 2q + 1 memo keys, not q^2
-    squares = set(_modulus_tables(q)[2])
-    non_square = min(set(range(q)) - squares)
-    return tuple(d if d < 2 else 1 if d in squares else non_square for d in range(q))
-
-
 @lru_cache(maxsize=None)
 def _repunit(period: int, width: int) -> int:
-    # times a period-bit mask: the mask repeated over at least width bits
-    copies = -(-width // period)
-    return ((1 << (period * copies)) - 1) // ((1 << period) - 1)
+    # times a period-bit mask: the mask repeated over at least width bits, by doubling
+    unit = 1
+    for bit in bin(-(-width // period))[3:]:
+        unit |= unit << unit.bit_length() - 1 + period
+        if bit == "1":
+            unit = unit << period | 1
+    return unit
 
 
-@lru_cache(maxsize=1024)
-def _search_mask(q: int, d: int, c: int, width: int) -> int:
-    # search prime q's classes for d*x^2 + c, repeated over at least width bits;
-    # analyze passes d's square-class representative and c mod q, so one width
-    # takes at most 3q keys (720 for SEARCH_PRIMES)
-    classes = _sieve_classes(q, d, c, False)
-    return sum(1 << r for r in classes) * _repunit(_modulus_tables(q)[1], width)
+@lru_cache(maxsize=None)
+def _sieve_plan() -> tuple:
+    """(steps, threshold, start, units, primes) of analyze's sieve.
 
-
-@lru_cache(maxsize=256)
-def _sieve_plan(n_min: int, n_parity: str) -> tuple:
-    """(combined period, valid_from, starting mask, ANDed, units) for analyze's sieve.
-
-    The combined period is the lcm of 2 and the periods of DEFAULT_MODULI,
-    60, so a residue's parity is the parity of every n in its class.  ANDed
-    holds (modulus, odd_only, period) for the moduli that no other listed
-    modulus is a multiple of: where d*x**2 + c == 2**n is solvable mod k it
-    is solvable mod each divisor m of k, and from k's threshold on (never
-    below m's) a class of n fixes 2**n mod both, so m's mask holds k's.
-    Units has bit r set iff gcd(r, combined period) == 1.
+    steps holds (modulus, period, lift) in DEFAULT_MODULI order: the mask starts
+    at period 60 as start[n_parity], and the first modulus whose period does not
+    divide 60 lifts it, times lift, to the full period K.  units has bit r < K set
+    iff gcd(r, K) == 1, and primes bit g for each prime g | K: a class r with
+    gcd(r, K) = g > 1 holds no prime but g (if r == g).
     """
-    cycles = [(m, *power_cycle(m)) for m in DEFAULT_MODULI]
-    period = lcm(2, *[p for _, _, p in cycles])
-    anded = tuple((m, n_parity == "odd" and p % 2 == 0, p) for m, _, p in cycles
-                  if not any(k % m == 0 and k != m for k in DEFAULT_MODULI))
-    start = 2 * _repunit(2, period) if n_parity == "odd" else (1 << period) - 1
-    units = sum(1 << r for r in range(period) if gcd(r, period) == 1)
-    return period, max([n_min] + [t for _, t, _ in cycles]), start, anded, units
+    cycles = [power_cycle(m) for m in DEFAULT_MODULI]
+    full, steps, period = lcm(2, *[p for _, p in cycles]), [], 60
+    for m, (_, p) in zip(DEFAULT_MODULI, cycles):
+        steps.append((m, full, _repunit(period, full)) if period % p else (m, period, 1))
+        period = steps[-1][1]
+    # a prime that divides K divides a period; units repeat with period rad
+    primes = [g for g in range(2, max(p for _, p in cycles) + 1)
+              if full % g == 0 and is_prime(g) == "prime"]
+    rad = prod(primes)
+    units = (1 << rad) - 1
+    for g in primes:
+        units &= ~_repunit(g, rad)
+    start = {"odd": 2 * _repunit(2, 60), "any": 3 * _repunit(2, 60)}
+    return (tuple(steps), max(t for t, _ in cycles), start, units * _repunit(rad, full),
+            sum(1 << g for g in primes))
+
+
+def _finite_checks(n_min: int, n_parity: str, mask: int) -> list[int]:
+    # a closed branch tests the n below valid_from, and each prime g | K past it in the mask
+    _, threshold, _, _, primes = _sieve_plan()
+    valid_from = max(n_min, threshold)
+    held = mask & primes >> valid_from << valid_from
+    return [*_exponents(n_min, valid_from, n_parity), *_set_bits(held)]
 
 
 def analyze(eq: RNEquation,
@@ -442,15 +436,14 @@ def analyze(eq: RNEquation,
             primes_only: bool = False) -> BranchStatus:
     """Run the closure pipeline on one equation.
 
-    Order: completeness table, adjacent-powers rule, then sieving: the
-    surviving classes are intersected at the combined period of
-    DEFAULT_MODULI by ANDing memoized bit masks until one leaves nothing.
-    An empty intersection closes the branch up to finitely many small
-    exponents, each tested directly.  When the caller declares n restricted
-    to primes, a surviving class r mod k with g = gcd(r, k) > 1 contains at
-    most the single prime g and closes too.  Anything else is reported open
-    with the solutions with n <= n_max, found by testing only the exponents
-    below valid_from or in surviving classes that pass every search prime.
+    Order: completeness table, adjacent-powers rule, then the sieve: the
+    memoized class masks of DEFAULT_MODULI are ANDed until one leaves
+    nothing, which closes the branch up to finitely many small exponents,
+    each tested directly.  When the caller declares n restricted to primes,
+    a surviving class r mod 27720 with g = gcd(r, 27720) > 1 holds at most
+    the prime g, tested directly too.  Anything else is reported open with
+    the solutions with n <= n_max, found by testing only the exponents
+    below valid_from or in surviving classes.
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
@@ -458,7 +451,6 @@ def analyze(eq: RNEquation,
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
-    combined_period, valid_from, mask, anded, units = _sieve_plan(n_min, n_parity)
 
     entry = table.lookup(eq.d, eq.c)
     if entry is not None:
@@ -469,30 +461,35 @@ def analyze(eq: RNEquation,
         return BranchStatus(eq, "closed_complete", _in_range(exact, n_min, n_parity),
                             "adjacent_powers")
 
-    # one dict lookup per ANDed modulus: its classes lifted to combined_period
+    steps, threshold, start, units, _ = _sieve_plan()
     lifted = _lifted.get
-    for m, odd_only, period in anded:
-        key = (m, eq.d % m, eq.c % m, odd_only)
-        lift = lifted(key)
-        if lift is None:
-            lift = _lifted[key] = (sum(1 << r for r in _sieve_classes(m, eq.d, eq.c, odd_only))
-                                   * _repunit(period, combined_period))
-        mask &= lift
+    (d, c), mask = eq, start[n_parity]
+    for m, period, lift in steps:
+        if lift > 1:
+            mask *= lift
+        key = (m, d % m, c % m)
+        classes = lifted(key)
+        if classes is None:
+            # built once per square class of d, and shared by its members
+            least = (m, _square_class(m)[key[1]], key[2])
+            classes = lifted(least)
+            if classes is None:
+                classes = (sum(1 << r for r in _sieve_classes(m, least[1], least[2]))
+                           * _repunit(power_cycle(m)[1], period))
+            _lifted[key] = _lifted[least] = classes
+        mask &= classes
         if not mask:
             break
     facts = (n_min, n_parity, mask, primes_only, n_max)
-    leftover = _exponents(n_min, valid_from, n_parity)
+    valid_from = max(n_min, threshold)
     if not mask or primes_only and not mask & units:
-        found = _solutions_at(eq, leftover) if n_min < valid_from else ()
+        found = (_solutions_at(eq, _finite_checks(n_min, n_parity, mask))
+                 if mask or n_min < valid_from else ())
         return BranchStatus(eq, "closed_finite_n", tuple(sorted(found)), "finite_checks", facts)
 
-    # exact: every sieve is sound, so a solution with n >= valid_from lies
-    # in a class of the mask (closed prime classes included), and its n
-    # lies in a surviving class of every search prime
-    width = n_max + 1
-    wanted = (mask * _repunit(combined_period, width)) >> valid_from << valid_from
-    wanted |= sum(1 << n for n in leftover)
-    for q in SEARCH_PRIMES:
-        wanted &= _search_mask(q, _square_class(q)[eq.d % q], eq.c % q, width)
-    found = _solutions_at(eq, _set_bits(wanted & ((1 << width) - 1)))
+    # exact: every sieve is sound, so a solution with n >= valid_from is in the mask
+    low = (1 << n_max + 1) - 1
+    wanted = (mask & low) * _repunit(period, n_max + 1) >> valid_from << valid_from
+    wanted |= sum(1 << n for n in _exponents(n_min, valid_from, n_parity))
+    found = _solutions_at(eq, _set_bits(wanted & low))
     return BranchStatus(eq, "open", tuple(sorted(found)), "direct_search", facts)

@@ -76,9 +76,10 @@ def test_criterion_2_decide_15(capsys):
         ("A", 1), ("A", 11), ("B", 2), ("B", 22)]
 
     for key in (("A", 1), ("A", 11)):
-        mod8 = [t for t in branches[key]["rule_trace"]
-                if t["rule"] == "sieve" and t["modulus"] == 8]
-        ok &= len(mod8) == 1 and mod8[0]["surviving_classes"] == []
+        # x^2 = 5 has no root mod 8, so none mod 64, the 2-adic sieve modulus
+        mod64 = [t for t in branches[key]["rule_trace"]
+                 if t["rule"] == "sieve" and t["modulus"] == 64]
+        ok &= len(mod64) == 1 and mod64[0]["surviving_classes"] == []
         ok &= branches[key]["status"] == "closed_finite_n"
         ok &= branches[key]["solutions"] == []
 

@@ -123,33 +123,34 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         check_sieve_cert(cert)
     assert combo["moduli"] == [cert["modulus"] for cert in sieves]
 
-    period = lcm(*[cert["period"] for cert in sieves])
-    if parity == "odd":
-        period = lcm(period, 2)
+    # the combination, lifted one modulus at a time: a residue r mod K
+    # stands for r, r + K, ... mod lcm(K, period), each kept iff its class
+    # mod the modulus's period survived; no residue is tested twice
+    period, surviving = 2, [r for r in range(2) if parity_ok(r, parity)]
+    for cert in sieves:
+        lifted, classes = lcm(period, cert["period"]), set(cert["surviving_classes"])
+        surviving = sorted(r for r0 in surviving for r in range(r0, lifted, period)
+                           if r % cert["period"] in classes)
+        period = lifted
     assert combo["combined_period"] == period
     assert combo["valid_from"] == max([p_min] + [cert["n_threshold"] for cert in sieves])
-    surviving = [
-        r for r in range(period)
-        if parity_ok(r, parity)
-        and all(r % cert["period"] in cert["surviving_classes"] for cert in sieves)
-    ]
     assert combo["surviving_classes"] == surviving
+
+    # n is prime in decide: a class r with g = gcd(r, K) > 1 holds at most the prime g
+    open_classes = [r for r in surviving if gcd(r, period) == 1]
+    if surviving:
+        closure = next(t for t in trace if t["rule"] == "prime_class_closure")
+        assert closure["open_classes"] == open_classes
+        assert closure["closed_classes"] == [{"residue": r, "gcd": gcd(r, period)}
+                                             for r in surviving if gcd(r, period) != 1]
+    assert (branch["status"] == "open") == bool(open_classes)
 
     if branch["status"] == "closed_finite_n":
         finite = next(t for t in trace if t["rule"] == "finite_checks")
         must_check = {n for n in range(p_min, combo["valid_from"]) if parity_ok(n, parity)}
-        if surviving:
-            closure = next(t for t in trace if t["rule"] == "prime_class_closure")
-            assert closure["open_classes"] == []
-            listed = {cl["residue"] for cl in closure["closed_classes"]}
-            assert listed == set(surviving)
-            for cl in closure["closed_classes"]:
-                g = gcd(cl["residue"], period) or period
-                assert cl["gcd"] == g and g > 1
-                # a prime the class holds at or past valid_from must be checked too
-                if (naive_is_prime(g) and g % period == cl["residue"]
-                        and g >= combo["valid_from"] and parity_ok(g, parity)):
-                    must_check.add(g)
+        # a prime the closed classes hold at or past valid_from is checked too
+        must_check |= {r for r in surviving if r >= combo["valid_from"] and naive_is_prime(r)
+                       and gcd(r, period) == r}
         assert set(finite["n_values"]) == must_check
         expected = [s for n in sorted(must_check)
                     if (s := exact_solution(d, c, n)) is not None]
@@ -157,10 +158,12 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         assert branch["solutions"] == expected
         return
 
-    assert branch["status"] == "open"
+    # an open branch lists every solution up to its bound, each exponent tested
     search = next(t for t in trace if t["rule"] == "direct_search")
-    for s in search["solutions"]:
-        assert exact_solution(d, c, s[1]) == s
+    expected = [s for n in range(p_min, search["n_max"] + 1)
+                if parity_ok(n, parity) and (s := exact_solution(d, c, n)) is not None]
+    assert search["n_min"] == p_min and search["solutions"] == expected
+    assert branch["solutions"] == sorted(expected)
 
 
 def check_perfectness(report: dict, entry: dict, value: int, decisive: bool) -> None:
@@ -269,6 +272,17 @@ def test_certificates_replay_for_worked_deltas():
         report = json.loads(decide(delta).to_json())
         assert report["verdict"] == "eliminated"
         check_report(report)
+
+
+def test_certificates_replay_for_every_in_scope_delta_below_b_100():
+    verdicts = []
+    for b in range(3, 100):
+        delta = b * (b - 1) // 2
+        if delta % 4 == 3:
+            report = json.loads(decide(delta).to_json())
+            check_report(report)
+            verdicts.append(report["verdict"])
+    assert len(verdicts) == 25 and {"eliminated", "inconclusive"} <= set(verdicts)
 
 
 def test_certificates_replay_for_blocked_and_inconclusive():

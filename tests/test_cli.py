@@ -170,8 +170,8 @@ def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, m
     assert code == 0 and calls == [] and not built
     # per delta: sieve, sieve_combination, prime_class_closure, finite_checks,
     # direct_search entries and pruning certificates
-    for delta, counts in ((55, (88, 8, 2, 6, 2, 8)), (171, (44, 4, 1, 3, 1, 4)),
-                          (44551, (88, 8, 1, 7, 1, 8)), (4492503, (176, 16, 2, 14, 2, 16))):
+    for delta, counts in ((55, (112, 8, 2, 6, 2, 8)), (171, (56, 4, 1, 4, 0, 4)),
+                          (44551, (112, 8, 1, 7, 1, 8)), (4492503, (224, 16, 2, 14, 2, 16))):
         report = decide(delta)
         assert calls == [] and not built
         parsed = json.loads(report.to_json())
@@ -267,22 +267,22 @@ def test_scan_parallel_worker_pool(tmp_path, capsys):
 
 def test_scan_workers_receive_the_loaded_table(tmp_path, capsys):
     # the pool pickles a DeciderConfig carrying the loaded table into each
-    # worker; the table closes delta = 91's one open branch, B d=2 (its
-    # solutions with n <= 200), and that flips the verdict
+    # worker; the table closes delta = 595's one open branch, A d=2 (its
+    # solutions with n <= 300), and that flips the verdict
     table = tmp_path / "table.jsonl"
-    table.write_text('{"d": 2, "c": 14, "solutions": [[1, 4], [3, 5], [5, 6], [11, 8], '
-                     '[181, 16]], "source": "fixture"}\n')
+    table.write_text('{"d": 2, "c": -34, "solutions": [[5, 4], [7, 6], [9, 7], [23, 10]], '
+                     '"source": "fixture"}\n')
     outputs = {}
     for name, extra in (("plain", ()), ("jobs1", ("--table", str(table))),
                         ("jobs2", ("--table", str(table), "--jobs", "2"))):
         outputs[name] = tmp_path / f"{name}.jsonl"
-        assert run_cli(capsys, "scan", "--b-from", "3", "--b-to", "14",
+        assert run_cli(capsys, "scan", "--b-from", "3", "--b-to", "35",
                        "--out", str(outputs[name]), *extra)[0] == 0
     plain, jobs1, jobs2 = (_records_without_timing(outputs[n]) for n in ("plain", "jobs1", "jobs2"))
-    assert [r["delta"] for r in jobs2] == [3, 15, 55, 91]
+    assert [r["delta"] for r in jobs2] == [3, 15, 55, 91, 171, 231, 351, 435, 595]
     assert jobs2 == jobs1
     assert plain[-1]["verdict"] == "inconclusive" and jobs2[-1]["verdict"] == "eliminated"
-    assert {"side": "B", "d": 2, "status": "closed_complete"} in jobs2[-1]["branches"]
+    assert {"side": "A", "d": 2, "status": "closed_complete"} in jobs2[-1]["branches"]
 
 
 def test_decide_and_jobs_1_scan_load_no_dataclasses_or_process_pool(tmp_path):
@@ -460,6 +460,27 @@ def test_module_execution_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: eliminated" in proc.stdout
+
+
+def test_decide_takes_a_delta_of_more_than_4300_digits():
+    # Python's int() reads at most 4300 digits by default; the command line
+    # lifts that limit, for reading delta and for printing it back
+    delta = "1" + "0" * 4999 + "9"  # 10^5000 + 9 = 1 mod 12
+    proc = subprocess.run([sys.executable, "-m", "perfdist", "decide", delta],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.endswith("verdict: eliminated\n")
+    assert f"delta = {delta}\n" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "perfdist", "decide", delta, "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and f'"delta":{delta},' in proc.stdout
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for this test's own json.loads
+    try:
+        report = json.loads(proc.stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["verdict"] == "eliminated" and report["delta"] == 10**5000 + 9
+    assert report["delta_plus_6"]["perfect_status"] == "unknown"
 
 
 def test_moduli_flag_is_rejected(tmp_path, capsys):

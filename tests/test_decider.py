@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +301,7 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
 
 def test_config_fingerprint_tracks_content():
     # scan records made under this fingerprint are reused on resume
-    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "811c540fe1e649bb"
+    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "468102fb9ed01a54"
     # the odd-perfect bound is a hashed constant, not a field
     assert DEFAULT_CONFIG.to_dict()["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
     other = DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999))
@@ -319,7 +320,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "3b6363c326a161a46e6644fd77ca5e9b3e201bd9d7cdc6dc3aef8e583cc613c6"
+        "27d27346af3c74ab4b4d47f44704114e05ae70f9af38f13a0d8660e522dfd5cb"
 
 
 def test_min_exponent_is_the_least_prime_past_delta():
@@ -353,24 +354,53 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "4e90db079303b0fd8c31cb3b19a553840183dff28870bddaa78bd8df3494e02a"
+        "0f20ea377ae6b3dda9cf0174c5c46070fd8f87416a437602b694f39bb031d630"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "e0947ceedc7f854938ccaca0fb48f185b33e9fef89488d0a38808b63fb9d12cd"
+        "ea281de35573d1ad6e9adb633265f4067eeb74d8c8442f0e2160a11bb01da05c"
 
 
-def test_benchmark_scan_keeps_at_most_9082_lifted_masks(monkeypatch):
-    # keyed (m, d mod m, c mod m, odd_only), the masks of one ANDed modulus
-    # take at most 2m^2 keys
-    bound = sum(2 * m * m for m, _, _ in rn._sieve_plan(0, "any")[3])
-    assert bound == 9082
+def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):
+    # keyed (m, d mod m, c mod m): at most m^2 keys per modulus, but the d of
+    # one square class share the mask built for the least of them, so a
+    # modulus with s square classes builds at most s*m masks
+    moduli = rn.DEFAULT_MODULI
+    bound = sum(len(set(rn._square_class(m))) * m for m in moduli)
+    assert bound == 5005 and sum(m * m for m in moduli) == 12421
     lifted = {}
     monkeypatch.setattr(rn, "_lifted", lifted)
     for b in range(3, 3000):
         if b * (b - 1) // 2 % 4 == 3:
             decide(b * (b - 1) // 2)
-    assert 0 < len(lifted) <= bound
+    built = [key for key in lifted if rn._square_class(key[0])[key[1]] == key[1]]
+    assert 0 < len(built) <= bound and len(lifted) <= 12421
+    # an aliased key holds the very mask of its square class's least member
+    for m, d, c in lifted:
+        assert lifted[m, d, c] is lifted[m, rn._square_class(m)[d], c]
+
+
+def test_verdict_count_over_the_benchmark_scan():
+    """b = 3..2999: 441 of the 750 in-scope deltas are eliminated, 358 branches open.
+
+    The benchmark's baseline set (329 deltas, recorded when it was defined)
+    must stay inside the eliminated set; a change that settles more deltas
+    raises these counts, and one that loses a verdict fails here.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "eliminated_baseline.json"
+    baseline = set(json.loads(path.read_text())["eliminated_b"])
+    eliminated, open_branches, in_scope = set(), 0, 0
+    for b in range(3, 3000):
+        delta = b * (b - 1) // 2
+        if delta % 4 != 3:
+            continue
+        report = decide(delta)
+        in_scope += 1
+        if report.verdict == "eliminated":
+            eliminated.add(b)
+        open_branches += sum(br.status.status == "open" for br in report.branches)
+    assert (in_scope, len(eliminated), open_branches) == (750, 441, 358)
+    assert len(baseline) == 329 and baseline <= eliminated
 
 
 def test_report_serialization_roundtrip():

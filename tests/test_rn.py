@@ -2,8 +2,7 @@ import copy
 import itertools
 import pickle
 import random
-from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -209,6 +208,25 @@ def test_table_rejects_non_solutions():
         CompletenessTable((TableEntry(5, 3, (RNSolution(2, 3),), "bogus"),))
 
 
+def test_table_lookup_uses_its_index():
+    entries = tuple(TableEntry(d, c, (), f"fixture {d} {c}")
+                    for d in (1, 2, 3, 5, 6, 7) for c in range(-40, 41) if c)
+    table = CompletenessTable(entries + (TableEntry(5, 3, (), "shadowed"),))
+
+    def walk(tab, d, c):
+        return next((e for e in tab.entries if e.d == d and e.c == c), None)
+
+    for copy_ in (table, pickle.loads(pickle.dumps(table)), table._replace(entries=entries[:9])):
+        for d, c in itertools.product(range(9), range(-45, 46)):
+            assert copy_.lookup(d, c) == walk(copy_, d, c), (d, c)
+    # the first of two entries for one (d, c) wins, as in a walk over the entries
+    assert table.lookup(5, 3).source == "fixture 5 3"
+    # a lookup reads the index, not the entries
+    assert table.entries.index[5, 3] is table.lookup(5, 3)
+    assert len(table.entries.index) == len(entries) and table.entries == entries + (
+        TableEntry(5, 3, (), "shadowed"),)
+
+
 def test_load_table(tmp_path):
     path = tmp_path / "table.jsonl"
     path.write_text(
@@ -245,18 +263,16 @@ def test_set_bits_matches_the_bit_by_bit_reference():
     rng = random.Random(14)
     masks = [0] + [1 << i for i in (0, 1, 59, 60, 63, 64, 2000)]
     masks += [rng.getrandbits(bits) for bits in (1, 8, 60, 61, 64, 65, 2001) for _ in range(20)]
-    # the 2001-bit search masks of open branches, built as analyze builds them
+    # the 27720-bit class masks analyze keeps, and the 2001-bit masks of the
+    # exponents an open branch searches
     width = rn.DEFAULT_N_MAX + 1
     for eq in [RNEquation(1, 7), RNEquation(2, 14), RNEquation(5, -16)] + \
             random_equations(14, 20, d_max=60, c_max=500):
         for n_min, parity in ((0, "any"), (7, "odd")):
-            period, valid_from, start = rn._sieve_plan(n_min, parity)[:3]
-            wanted = (start * rn._repunit(period, width)) >> valid_from << valid_from
-            masks.append(wanted & ((1 << width) - 1))
-            for q in rn.SEARCH_PRIMES:
-                wanted &= rn._search_mask(q, rn._square_class(q)[eq.d % q], eq.c % q, width)
-            masks.append(wanted & ((1 << width) - 1))
-    assert any(m.bit_length() == width for m in masks)
+            st = analyze(eq, n_min, parity)
+            if st.status != "closed_complete":
+                masks += [st.facts[2], st.facts[2] & ((1 << width) - 1)]
+    assert any(m.bit_length() > 27000 for m in masks)
     for mask in masks:
         assert rn._set_bits(mask) == reference(mask), mask
 
@@ -279,29 +295,50 @@ def test_analyze_adjacent_route():
 
 
 def test_analyze_prime_closure_route():
-    # 5x^2 - 16 = 2^n has (2, 2) and (4, 6); classes 2, 6, 26 and 42 mod 60
-    # survive, and each holds at most the prime gcd(r, 60)
+    # 5x^2 - 16 = 2^n has (2, 2) and (4, 6); 480 classes mod 27720 survive,
+    # each an even one, and each holds at most the prime gcd(r, 27720)
     eq = RNEquation(5, -16)
     assert analyze(eq).status == "open"
     st = analyze(eq, primes_only=True)
     assert st.status == "closed_finite_n"
     assert st.solutions == (RNSolution(2, 2),)
     closure = next(t for t in st.rule_trace if t["rule"] == "prime_class_closure")
-    assert closure["closed_classes"] == [
-        {"residue": r, "gcd": g}
-        for r, g in ((2, 2), (6, 6), (26, 2), (42, 6))
-    ] and closure["open_classes"] == []
+    closed = closure["closed_classes"]
+    assert len(closed) == 480 and closure["open_classes"] == []
+    assert {c["gcd"] for c in closed} == {2, 6, 18, 22, 66, 198}
+    assert all(c["gcd"] == gcd(c["residue"], 27720) for c in closed)
+    assert [c["residue"] for c in closed][:4] == [2, 6, 186, 206]
     # the prime 2 lies below valid_from = 6, so the finite checks test it
     # and no class lists it again
     finite = st.rule_trace[-1]
     assert finite == {"rule": "finite_checks", "n_values": [0, 1, 2, 3, 4, 5],
                       "solutions": [[2, 2]]}
-    # so it goes for every prime a closed class can hold: each divides the
-    # combined period and lies below valid_from at any n_min
-    for parity in ("any", "odd"):
-        period, valid_from = rn._sieve_plan(0, parity)[:2]
-        assert [g for g in range(2, period) if period % g == 0 and is_prime(g) == "prime"
-                and g >= valid_from] == []
+
+
+def test_prime_classes_from_valid_from_on_go_to_the_finite_checks():
+    # 3x^2 + 125 = 2^7 at x = 1.  With n odd from 3 on, the classes 7, 31
+    # and 43 survive mod 60, and each of the ten that survive mod 27720 is
+    # a multiple of 7: they hold no prime but 7, in the class 7.  That prime
+    # is not below valid_from = 6, so the finite checks test it, and it is
+    # the branch's one solution.
+    eq = RNEquation(3, 125)
+    st = analyze(eq, 3, "odd", primes_only=True)
+    assert st.status == "closed_finite_n" and st.solutions == (RNSolution(1, 7),)
+    trace = {t["rule"]: t for t in st.rule_trace}
+    surviving = trace["sieve_combination"]["surviving_classes"]
+    assert len(surviving) == 10 and surviving[:3] == [7, 2527, 7567]
+    assert trace["prime_class_closure"]["closed_classes"] == [{"residue": r, "gcd": 7}
+                                                              for r in surviving]
+    assert trace["finite_checks"] == {"rule": "finite_checks", "n_values": [3, 5, 7],
+                                      "solutions": [[1, 7]]}
+    # past 7 the class holds no prime at all, and nothing is left to test
+    st = analyze(eq, 8, "odd", primes_only=True)
+    assert st.status == "closed_finite_n" and st.solutions == ()
+    assert st.rule_trace[-1]["n_values"] == []
+    # the primes a class can hold that way divide 27720; 7 and 11 reach valid_from
+    _, threshold, _, units, primes = rn._sieve_plan()
+    assert (threshold, rn._set_bits(primes)) == (6, [2, 3, 5, 7, 11])
+    assert units == sum(1 << r for r in range(27720) if gcd(r, 27720) == 1)
 
 
 def test_analyze_sieve_closure_route():
@@ -373,9 +410,9 @@ def _open_search_mismatches(equations, n_mins, parities, primes_only, n_maxes):
 
 
 def test_analyze_open_search_matches_full_range_search():
-    # an open branch tests only exponents below valid_from and in surviving
-    # classes that pass every search prime; the full-range direct search is
-    # the reference.  Half the planted solutions have n <= 20, and a third
+    # an open branch tests only exponents below valid_from and in classes
+    # that survive every modulus; the full-range direct search is the
+    # reference.  Half the planted solutions have n <= 20, and a third
     # set has n in 300..2000, searched up to n_max = 2000.
     planted = _planted(61, 120, lambda i: (1, 21 if i % 2 else 151))
     open_branches, with_solutions, mismatches = _open_search_mismatches(
@@ -388,22 +425,22 @@ def test_analyze_open_search_matches_full_range_search():
 
 
 def _fresh_caches(monkeypatch):
-    # analyze keeps lifted masks in rn._lifted and search-prime masks in the
-    # rn._search_mask cache; with fresh ones it sieves again through whatever
-    # rn._sieve_classes is in place, not through masks an earlier test left
+    # analyze keeps its class masks in rn._lifted; with a fresh one it sieves
+    # again through whatever rn._sieve_classes is in place, not through masks
+    # an earlier test left
     lifted = {}
     monkeypatch.setattr(rn, "_lifted", lifted)
-    monkeypatch.setattr(rn, "_search_mask", lru_cache(maxsize=1024)(rn._search_mask.__wrapped__))
     return lifted
 
 
-@pytest.mark.parametrize("q", rn.SEARCH_PRIMES)
+@pytest.mark.parametrize("q", DEFAULT_MODULI[6:])
 def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q):
-    # the comparison above must fail once one search prime forgets one class
+    # the comparison above must fail once one of the primes 17..43, the
+    # moduli ANDed at period 27720, forgets one class
     sieve_classes = rn._sieve_classes
 
-    def lossy(m, d, c, odd_only):
-        classes = sieve_classes(m, d, c, odd_only)
+    def lossy(m, d, c):
+        classes = sieve_classes(m, d, c)
         return classes[1:] if m == q else classes
 
     _fresh_caches(monkeypatch)
@@ -414,24 +451,35 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
 
 
 def test_square_class_is_the_least_residue_of_the_same_legendre_symbol():
-    for q in rn.SEARCH_PRIMES:
-        symbol = [pow(d, (q - 1) // 2, q) for d in range(q)]  # Euler's criterion
+    for q in DEFAULT_MODULI:
         canonical = rn._square_class.__wrapped__(q)
         assert len(canonical) == q
+        if is_prime(q) != "prime":  # 9 and 64 keep d itself
+            assert canonical == tuple(range(q))
+            continue
+        symbol = [pow(d, (q - 1) // 2, q) for d in range(q)]  # Euler's criterion
         for d in range(q):
             rep = canonical[d]
             assert symbol[rep] == symbol[d], (q, d)
             assert all(symbol[e] != symbol[d] for e in range(rep)), (q, d)
+        assert len(set(canonical)) == 3
 
 
 def test_search_prime_classes_depend_on_the_square_class_of_d():
-    for q in rn.SEARCH_PRIMES:
-        assert power_cycle(q)[0] == 0 and 720720 % power_cycle(q)[1] == 0
-        assert q not in DEFAULT_MODULI
+    # for every sieve modulus, the classes of d*x^2 + c are those of d's
+    # representative, so members of one square class may share a mask
+    for q in DEFAULT_MODULI:
+        assert 27720 % power_cycle(q)[1] == 0
         canonical = rn._square_class(q)
         for d, c in itertools.product(range(q), repeat=2):
-            assert rn._sieve_classes(q, canonical[d], c, False) == \
-                rn._sieve_classes(q, d, c, False), (q, d, c)
+            assert rn._sieve_classes(q, canonical[d], c) == rn._sieve_classes(q, d, c), (q, d, c)
+
+
+def test_no_sieve_modulus_divides_another():
+    # an equation solvable mod k is solvable mod each divisor of k, so a
+    # divisor's sieve would add nothing to the combination
+    assert [(m, k) for m in DEFAULT_MODULI for k in DEFAULT_MODULI
+            if k != m and k % m == 0] == []
 
 
 def test_analyze_validation():
@@ -444,10 +492,11 @@ def test_analyze_validation():
             analyze(eq, n_min=-2)
         with pytest.raises(ValueError, match="n_parity"):
             analyze(eq, n_parity="even")
-    # the moduli combine to period 60, for odd n as for any
+    # the moduli combine to period 27720, for odd n as for any
     for parity in ("any", "odd"):
         trace = analyze(RNEquation(1, -5), n_parity=parity).rule_trace
-        assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == 60
+        assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == \
+            27720
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
@@ -476,20 +525,20 @@ def test_analyze_prime_closure_never_misses_prime_exponents():
 
 
 def _parent_intersection(sieve_entries, n_parity):
-    # reference for the combined classes: every residue of the right
-    # parity, filtered once per modulus
-    periods = [t["period"] for t in sieve_entries] + ([2] if n_parity == "odd" else [])
-    period = lcm(*periods)
-    surviving = [r for r in range(period) if n_parity != "odd" or r % 2 == 1]
+    # reference for the combined classes: the residues of the right parity,
+    # lifted one modulus at a time and filtered by its classes
+    period, surviving = 2, [r for r in range(2) if n_parity != "odd" or r % 2 == 1]
     for t in sieve_entries:
-        classes = set(t["surviving_classes"])
-        surviving = [r for r in surviving if r % t["period"] in classes]
+        lifted, classes = lcm(period, t["period"]), set(t["surviving_classes"])
+        surviving = sorted(r for r0 in surviving for r in range(r0, lifted, period)
+                           if r % t["period"] in classes)
+        period = lifted
     return period, surviving
 
 
 def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
-    # a multiple of every modulus and of every search prime
-    shift = lcm(*DEFAULT_MODULI, *rn.SEARCH_PRIMES)
+    # a multiple of every modulus
+    shift = lcm(*DEFAULT_MODULI)
     # the random equations all close at the moduli; a planted solution with
     # n >= 6 keeps its class open
     equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
@@ -533,33 +582,16 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
 
 def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatch):
     # 5x^2 + 5 is 0 mod 5 and 2^n never is: the first modulus analyze ANDs
-    # closes the branch, and the trace still carries all 11 "sieve" entries
+    # closes the branch, and the trace still carries all 14 "sieve" entries
     eq = RNEquation(5, 5)
     lifted = _fresh_caches(monkeypatch)
-    assert rn._sieve_plan(3, "odd")[3][0] == (5, True, 4)
+    assert rn._sieve_plan()[0][0][:2] == (5, 60)
     st = analyze(eq, 3, "odd")
-    assert st.status == "closed_finite_n" and list(lifted) == [(5, 0, 0, True)]
+    assert st.status == "closed_finite_n" and list(lifted) == [(5, 0, 0)]
     entries = [t for t in st.rule_trace if t["rule"] == "sieve"]
     assert entries == [sieve(eq, m, 3, "odd").to_dict() for m in DEFAULT_MODULI]
     assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
     assert any(t["surviving_classes"] for t in entries)
-
-
-def test_dominated_moduli_leave_the_combination_unchanged():
-    # solvable mod k means solvable mod every divisor of k, so analyze ANDs
-    # only the moduli no other listed modulus is a multiple of: 6 of the 11
-    anded = [m for m, _, _ in rn._sieve_plan(0, "any")[3]]
-    assert anded == [5, 7, 9, 11, 13, 64]
-    equations = [eq for eq in random_equations(89, 60, d_max=60, c_max=500)
-                 if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
-    for eq, n_min, parity in itertools.product(equations, (0, 5), ("any", "odd")):
-        trace = analyze(eq, n_min, parity).rule_trace
-        entries = [t for t in trace if t["rule"] == "sieve"]
-        combination = next(t for t in trace if t["rule"] == "sieve_combination")
-        assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
-        # the reference ANDs the classes of every modulus
-        assert (combination["combined_period"], combination["surviving_classes"]) == \
-            _parent_intersection(entries, parity), (eq, n_min, parity)
 
 
 def test_analyze_trace_shares_no_cached_lists():
@@ -578,3 +610,68 @@ def test_analyze_trace_shares_no_cached_lists():
     moved = analyze(RNEquation(1, 7 + lcm(*DEFAULT_MODULI))).rule_trace
     classes = [t["surviving_classes"] for t in moved if "surviving_classes" in t]
     assert classes == [t["surviving_classes"] for t in before if "surviving_classes" in t]
+
+
+def _sieve_misses(st, solutions, n_min, parity, primes_only):
+    """The solutions, from a direct search, that st's sieve lost.
+
+    A solution must lie in a kept class mod the combined period or among
+    the exponents tested directly; with primes_only, a prime one must be
+    among st's solutions (up to st's bound when the branch is open).
+    """
+    trace = {t["rule"]: t for t in st.rule_trace}
+    missed = []
+    for s in solutions:
+        if s.n < n_min or parity == "odd" and s.n % 2 == 0:
+            continue
+        if st.status == "closed_complete":
+            kept = s in st.solutions
+        else:
+            combo = trace["sieve_combination"]
+            tested = (trace["finite_checks"]["n_values"] if st.status == "closed_finite_n"
+                      else range(n_min, combo["valid_from"]))
+            kept = s.n in tested or s.n % combo["combined_period"] in combo["surviving_classes"]
+        if primes_only and is_prime(s.n) == "prime" and (
+                st.status != "open" or s.n <= st.facts[4]):
+            kept &= s in st.solutions
+        if not kept:
+            missed.append(s)
+    return missed
+
+
+def test_sieve_never_misses_a_solution_of_a_decide_branch():
+    # every branch decide analyzes for b < 300, called as decide calls it,
+    # against every solution with n <= 3000
+    from perfdist.decider import DEFAULT_CONFIG, _min_exponent, generate_branches
+
+    branches = 0
+    for b in range(3, 300):
+        delta = b * (b - 1) // 2
+        if delta % 4 != 3:
+            continue
+        p_min = _min_exponent(delta)
+        parity = "odd" if p_min > 2 else "any"
+        for _, d, c in generate_branches(b).surviving:
+            eq = RNEquation(d, c, known_squarefree=True)
+            st = analyze(eq, p_min, parity, max(rn.DEFAULT_N_MAX, p_min), DEFAULT_CONFIG.table,
+                         primes_only=True)
+            misses = _sieve_misses(st, direct_search(eq, p_min, 3000), p_min, parity, True)
+            assert misses == [], (b, d, c)
+            branches += 1
+    assert branches > 500
+
+
+def test_sieve_never_misses_a_solution_of_a_random_equation():
+    # random and planted equations, each solution with n <= 3000 checked
+    # against the kept classes under every exponent constraint
+    equations = random_equations(97, 60, d_max=60, c_max=500) + \
+        _planted(97, 60, lambda i: (1, 40 if i % 2 else 200)) + [RNEquation(3, 125)]
+    with_solutions = 0
+    for eq in equations:
+        solutions = direct_search(eq, 0, 3000)
+        with_solutions += bool(solutions)
+        for n_min, parity, primes in itertools.product((0, 3, 7), ("any", "odd"), (False, True)):
+            st = analyze(eq, n_min, parity, primes_only=primes)
+            assert _sieve_misses(st, solutions, n_min, parity, primes) == [], \
+                (eq, n_min, parity, primes)
+    assert with_solutions > 60
