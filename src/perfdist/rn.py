@@ -5,10 +5,10 @@ Three closure mechanisms, applied in order: a curated completeness table
 rule for the x**2 +- 1 = 2**m patterns, and one modular sieve: the classes
 of n mod 27720 that every modulus of DEFAULT_MODULI keeps, and when n must
 be prime, only those prime to 27720.  Whatever survives is reported open,
-with a bounded search over the surviving classes; each sieve is sound, so
-it finds every solution up to the bound.  analyze records only facts (the
-closing rule, the surviving mask, the n_min and n_parity sieved under),
-from which the rule trace, a certificate per applied rule, is rendered.
+with a bounded search over the surviving classes, which finds every
+solution up to the bound as each sieve is sound.  analyze records only
+facts, from which the rule trace, a certificate per rule, is rendered.
+The sieve's tables are built on first use, not at import, and factor nothing.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .arith import _Checked, is_prime, is_squarefree, order_of_two, v2
+from .arith import _Checked, is_prime, is_squarefree, v2
 
 # In the order analyze ANDs them: the first six have periods dividing 60, and
 # all combine to 27720.  None divides another (solvable mod k means mod k's divisors).
 DEFAULT_MODULI = (5, 7, 9, 11, 13, 64, 17, 19, 23, 29, 31, 37, 41, 43)
 DEFAULT_N_MAX = 2000
-# the per-modulus tables of sieve() cost time and memory linear in the
-# modulus; a larger one would run for minutes before any answer.
+# bounds sieve()'s tables, whose time and memory grow with the modulus
 MAX_MODULUS = 10**6
 
 
@@ -109,11 +108,10 @@ def adjacent_powers(eq: RNEquation) -> list[RNSolution] | None:
 class SieveReport(NamedTuple):
     """Which residue classes of n (mod period) can carry solutions, modulo `modulus`.
 
-    The sequence 2**n mod modulus is eventually periodic: constant on
-    n mod period once n >= n_threshold.  A class survives iff some x mod
-    modulus satisfies d*x**2 + c == 2**n there.  Any true solution with
-    n >= max(n_min, n_threshold) lies in a surviving class; exponents in
-    [n_min, n_threshold) are listed in small_n_to_check for direct testing.
+    2**n mod modulus depends only on n mod period once n >= n_threshold.
+    A class survives iff some x mod modulus has d*x**2 + c == 2**n there.
+    Any solution with n >= max(n_min, n_threshold) lies in a surviving
+    class; small_n_to_check lists the n in [n_min, n_threshold).
     """
 
     equation: RNEquation
@@ -143,56 +141,60 @@ def _exponents(lo: int, hi: int, parity: str) -> range:
 
 @lru_cache(maxsize=None)
 def power_cycle(modulus: int) -> tuple[int, int]:
-    """(n_threshold, period) of 2**n mod modulus, without iterating.
-
-    For modulus = 2**t * m with m odd, 2**n mod 2**t is 0 exactly from
-    n = t on, and 2**n mod m is purely periodic with period ord_m(2); so
-    the threshold is t and the period is that order.
-    """
+    """(n_threshold, period) of 2**n mod modulus = 2**t * m, m odd: 2**n mod 2**t
+    is 0 from n = t on, and 2**n mod m has period ord_m(2), found by walking
+    2**k mod m (at most 36 steps for a sieve modulus)."""
     if not 2 <= modulus <= MAX_MODULUS:
         raise ValueError(f"modulus must be between 2 and {MAX_MODULUS}, got {modulus}")
     t = v2(modulus)
-    return t, order_of_two(modulus >> t)
+    odd = modulus >> t
+    period, power = 1, 2 % odd
+    while power > 1:
+        period, power = period + 1, power * 2 % odd
+    return t, period
 
 
 @lru_cache(maxsize=None)
-def _modulus_tables(modulus: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(n_threshold, period, squares, cycle): the x**2 mod modulus, and cycle[r] =
-    2**n mod modulus for every n = r (mod period) with n >= n_threshold."""
+def _modulus_tables(modulus: int) -> tuple:
+    """(n_threshold, period, squares, cycle, non_square): the x**2 mod modulus,
+    cycle[r] = 2**n mod modulus for n = r (mod period) past n_threshold, and
+    the least non-square of an odd prime, else 0."""
     threshold, period = power_cycle(modulus)
-    squares = tuple({x * x % modulus for x in range(modulus)})
+    squares = frozenset({x * x % modulus for x in range(modulus // 2 + 1)})
     cycle, power = [0] * period, pow(2, threshold, modulus)
     for n in range(threshold, threshold + period):
         cycle[n % period], power = power, power * 2 % modulus
-    return threshold, period, squares, tuple(cycle)
+    # an odd m is prime iff it has (m + 1)/2 squares (by CRT, fewer otherwise)
+    non_square = (next(x for x in range(2, modulus) if x not in squares)
+                  if modulus % 2 and 2 * len(squares) > modulus else 0)
+    return threshold, period, squares, tuple(cycle), non_square
+
+
+def _square_class(modulus: int, d: int) -> int:
+    # a d' whose d'*x**2 take the values of d*x**2 mod m: for an odd prime,
+    # the least residue of d's Legendre symbol, else d itself
+    _, _, squares, _, non_square = _modulus_tables(modulus)
+    return d if d < 2 or not non_square else 1 if d in squares else non_square
 
 
 # analyze's memo: by (m, d mod m, c mod m), m's classes lifted to the mask's period
-# there.  The d of one square class share a mask: at most 3q for an odd prime q.
+# there; the d of one square class share a mask: at most 3q for an odd prime q.
 _lifted: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _square_class(modulus: int) -> tuple[int, ...]:
-    # by d mod m, a d' with d'*x^2 taking the values of d*x^2 mod m: for an
-    # odd prime, the least residue of d's Legendre symbol; else d itself
-    if modulus % 2 == 0 or is_prime(modulus) != "prime":
-        return tuple(range(modulus))
-    squares = set(_modulus_tables(modulus)[2])
-    non_square = min(set(range(modulus)) - squares)
-    return tuple(d if d < 2 else 1 if d in squares else non_square for d in range(modulus))
-
-
-def _sieve_classes(modulus: int, d: int, c: int) -> tuple[int, ...]:
-    """The classes r (mod period) where d*x**2 + c == 2**n (mod modulus) is solvable."""
-    d, c = d % modulus, c % modulus
-    _, period, squares, cycle = _modulus_tables(modulus)
+def _sieve_classes(modulus: int, d: int, c: int) -> int:
+    """Bit r set iff d*x**2 + c == 2**n (mod modulus) is solvable for n = r (mod period)."""
+    _, _, squares, cycle, _ = _modulus_tables(modulus)
     reachable = {(d * s + c) % modulus for s in squares}
-    return tuple(r for r in range(period) if cycle[r] in reachable)
+    return int("".join(["1" if v in reachable else "0" for v in reversed(cycle)]), 2)
 
 
 def _set_bits(mask: int) -> list[int]:
-    # the positions of the 1 bits of mask, least first
+    # the 1 bits of mask, least first, in 2048-bit pieces: linear in its width
+    if mask >> 2048:
+        data = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+        return [8 * i + r for i in range(0, len(data), 256)
+                for r in _set_bits(int.from_bytes(data[i:i + 256], "little"))]
     bits = []
     while mask:
         low = mask & -mask
@@ -212,9 +214,8 @@ def sieve(eq: RNEquation, modulus: int, n_min: int = 0, n_parity: str = "any") -
     if n_min < 0:
         raise ValueError(f"n_min must be >= 0, got {n_min}")
     threshold, period = power_cycle(modulus)
-    classes = _sieve_classes(modulus, eq.d, eq.c)
-    if n_parity == "odd" and period % 2 == 0:
-        classes = tuple(r for r in classes if r % 2)
+    odd = n_parity == "odd" and period % 2 == 0
+    classes = tuple(r for r in _set_bits(_sieve_classes(modulus, eq.d, eq.c)) if r % 2 or not odd)
     small = tuple(_exponents(n_min, threshold, n_parity))
     return SieveReport(eq, modulus, n_min, n_parity, threshold, period, classes, small)
 
@@ -325,15 +326,14 @@ class BranchStatus(NamedTuple):
     """Outcome of analysing one equation under the stated n-constraints.
 
     closed_complete: `solutions` is provably the complete set.
-    closed_finite_n: everything outside a finite, explicitly-checked set of
-    exponents is excluded by the certificates in `rule_trace`.
-    open: at least one residue class with infinitely many admissible n survived.
+    closed_finite_n: the certificates in `rule_trace` exclude every n outside
+    a finite set, each of which was tested.
+    open: a residue class with infinitely many admissible n survived.
 
     `rule` names the last rule applied and `facts` what `rule_trace` renders
-    the certificates from on each read: the TableEntry for "completeness_table",
-    () for "adjacent_powers", and for "finite_checks" or "direct_search"
-    (n_min, n_parity, mask, primes_only, n_max), where bit r of mask is set
-    iff class r of the combined period survived every sieve.
+    its certificates from on each read: the TableEntry for "completeness_table",
+    () for "adjacent_powers", else (n_min, n_parity, mask, primes_only, n_max),
+    where bit r of mask is set iff class r of the combined period survived.
     """
 
     equation: RNEquation
@@ -383,40 +383,41 @@ class BranchStatus(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _repunit(period: int, width: int) -> int:
-    # times a period-bit mask: the mask repeated over at least width bits, by doubling
-    unit = 1
+def _tile(mask: int, period: int, width: int) -> int:
+    # a period-bit mask repeated over at least width bits, by doubling
+    tiled, span = mask, period
     for bit in bin(-(-width // period))[3:]:
-        unit |= unit << unit.bit_length() - 1 + period
+        tiled, span = tiled | tiled << span, 2 * span
         if bit == "1":
-            unit = unit << period | 1
-    return unit
+            tiled, span = tiled << period | mask, span + period
+    return tiled
 
 
 @lru_cache(maxsize=None)
 def _sieve_plan() -> tuple:
     """(steps, threshold, start, units, primes) of analyze's sieve.
 
-    steps holds (modulus, period, lift) in DEFAULT_MODULI order: the mask starts
-    at period 60 as start[n_parity], and the first modulus whose period does not
-    divide 60 lifts it, times lift, to the full period K.  units has bit r < K set
-    iff gcd(r, K) == 1, and primes bit g for each prime g | K: a class r with
-    gcd(r, K) = g > 1 holds no prime but g (if r == g).
+    steps holds (modulus, period, lift, unit) in DEFAULT_MODULI order: the mask
+    starts at period 60 as start[n_parity], and the first modulus whose period
+    does not divide 60 lifts it, times lift, to the full period K; a class mask
+    times unit covers the period.  units has bit r < K set iff gcd(r, K) == 1,
+    primes bit g for each prime g | K: a class r with gcd(r, K) = g > 1 holds
+    no prime but g.
     """
-    cycles = [power_cycle(m) for m in DEFAULT_MODULI]
-    full, steps, period = lcm(2, *[p for _, p in cycles]), [], 60
-    for m, (_, p) in zip(DEFAULT_MODULI, cycles):
-        steps.append((m, full, _repunit(period, full)) if period % p else (m, period, 1))
-        period = steps[-1][1]
+    thresholds, periods = zip(*map(power_cycle, DEFAULT_MODULI))
+    full, steps, period = lcm(2, *periods), [], 60
+    for m, p in zip(DEFAULT_MODULI, periods):
+        width = full if period % p else period
+        steps.append((m, width, _tile(1, period, width), _tile(1, p, width)))
+        period = width
     # a prime that divides K divides a period; units repeat with period rad
-    primes = [g for g in range(2, max(p for _, p in cycles) + 1)
-              if full % g == 0 and is_prime(g) == "prime"]
+    primes = [g for g in range(2, max(periods) + 1) if full % g == 0 and is_prime(g) == "prime"]
     rad = prod(primes)
     units = (1 << rad) - 1
     for g in primes:
-        units &= ~_repunit(g, rad)
-    start = {"odd": 2 * _repunit(2, 60), "any": 3 * _repunit(2, 60)}
-    return (tuple(steps), max(t for t, _ in cycles), start, units * _repunit(rad, full),
+        units &= ~_tile(1, g, rad)
+    start = {"odd": _tile(2, 2, 60), "any": _tile(3, 2, 60)}
+    return (tuple(steps), max(thresholds), start, _tile(units, rad, full),
             sum(1 << g for g in primes))
 
 
@@ -439,11 +440,10 @@ def analyze(eq: RNEquation,
     Order: completeness table, adjacent-powers rule, then the sieve: the
     memoized class masks of DEFAULT_MODULI are ANDed until one leaves
     nothing, which closes the branch up to finitely many small exponents,
-    each tested directly.  When the caller declares n restricted to primes,
-    a surviving class r mod 27720 with g = gcd(r, 27720) > 1 holds at most
-    the prime g, tested directly too.  Anything else is reported open with
-    the solutions with n <= n_max, found by testing only the exponents
-    below valid_from or in surviving classes.
+    each tested.  For n restricted to primes, a class r mod 27720 with
+    g = gcd(r, 27720) > 1 holds at most the prime g, tested too.  Anything
+    else is open, with the solutions with n <= n_max, found by testing the
+    exponents below valid_from or in surviving classes.
     """
     if n_parity not in ("any", "odd"):
         raise ValueError("n_parity must be 'any' or 'odd'")
@@ -464,18 +464,17 @@ def analyze(eq: RNEquation,
     steps, threshold, start, units, _ = _sieve_plan()
     lifted = _lifted.get
     (d, c), mask = eq, start[n_parity]
-    for m, period, lift in steps:
+    for m, period, lift, unit in steps:
         if lift > 1:
             mask *= lift
         key = (m, d % m, c % m)
         classes = lifted(key)
         if classes is None:
             # built once per square class of d, and shared by its members
-            least = (m, _square_class(m)[key[1]], key[2])
+            least = (m, _square_class(m, key[1]), key[2])
             classes = lifted(least)
             if classes is None:
-                classes = (sum(1 << r for r in _sieve_classes(m, least[1], least[2]))
-                           * _repunit(power_cycle(m)[1], period))
+                classes = _sieve_classes(m, least[1], least[2]) * unit
             _lifted[key] = _lifted[least] = classes
         mask &= classes
         if not mask:
@@ -489,7 +488,7 @@ def analyze(eq: RNEquation,
 
     # exact: every sieve is sound, so a solution with n >= valid_from is in the mask
     low = (1 << n_max + 1) - 1
-    wanted = (mask & low) * _repunit(period, n_max + 1) >> valid_from << valid_from
+    wanted = (mask & low) * _tile(1, period, n_max + 1) >> valid_from << valid_from
     wanted |= sum(1 << n for n in _exponents(n_min, valid_from, n_parity))
     found = _solutions_at(eq, _set_bits(wanted & low))
     return BranchStatus(eq, "open", tuple(sorted(found)), "direct_search", facts)

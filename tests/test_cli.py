@@ -319,6 +319,21 @@ def test_import_loads_no_hashlib():
     assert "perfdist.cli" in added and not added & {"hashlib", "_hashlib"}
 
 
+def test_importing_the_cli_builds_no_sieve_table():
+    # the sieve's periods, tables, plan and memo cost start-up time only to a
+    # run that sieves: importing builds none of them
+    code = ("import perfdist.cli\n"
+            "from perfdist import rn\n"
+            "print(*(f.cache_info().currsize for f in (rn.power_cycle, rn._modulus_tables,\n"
+            "                                          rn._sieve_plan, rn._tile)),\n"
+            "      len(rn._lifted))\n")
+    src = os.path.dirname(os.path.dirname(rn.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] * 5
+
+
 def _records_without_timing(path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for rec in records:

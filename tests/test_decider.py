@@ -366,18 +366,18 @@ def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):
     # one square class share the mask built for the least of them, so a
     # modulus with s square classes builds at most s*m masks
     moduli = rn.DEFAULT_MODULI
-    bound = sum(len(set(rn._square_class(m))) * m for m in moduli)
+    bound = sum(len({rn._square_class(m, d) for d in range(m)}) * m for m in moduli)
     assert bound == 5005 and sum(m * m for m in moduli) == 12421
     lifted = {}
     monkeypatch.setattr(rn, "_lifted", lifted)
     for b in range(3, 3000):
         if b * (b - 1) // 2 % 4 == 3:
             decide(b * (b - 1) // 2)
-    built = [key for key in lifted if rn._square_class(key[0])[key[1]] == key[1]]
+    built = [(m, d, c) for m, d, c in lifted if rn._square_class(m, d) == d]
     assert 0 < len(built) <= bound and len(lifted) <= 12421
     # an aliased key holds the very mask of its square class's least member
     for m, d, c in lifted:
-        assert lifted[m, d, c] is lifted[m, rn._square_class(m)[d], c]
+        assert lifted[m, d, c] is lifted[m, rn._square_class(m, d), c]
 
 
 def test_verdict_count_over_the_benchmark_scan():

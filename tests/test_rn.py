@@ -2,12 +2,13 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from math import gcd, lcm
 
 import pytest
 
-from perfdist import rn
-from perfdist.arith import is_prime, is_squarefree
+from perfdist import arith, rn
+from perfdist.arith import is_prime, is_squarefree, order_of_two
 from perfdist.rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
@@ -124,6 +125,52 @@ def test_power_cycle_reproduces_powers_of_two():
             assert pow(2, threshold - 1, m) not in [
                 pow(2, threshold + i, m) for i in range(period)
             ]
+
+
+def test_power_cycle_agrees_with_order_of_two_near_the_modulus_bound():
+    # the walk of 2^k against the factoring order_of_two, on moduli of up to
+    # MAX_MODULUS where the walk is longest
+    for m in (999983, 999999, 524287, 3 << 18, rn.MAX_MODULUS):
+        t = (m & -m).bit_length() - 1
+        assert power_cycle.__wrapped__(m) == (t, order_of_two(m >> t)), m
+    assert power_cycle(524287) == (0, 19) and power_cycle(3 << 18) == (18, 2)
+
+
+def test_modulus_tables_tell_an_odd_prime_by_its_count_of_squares():
+    # an odd m is prime iff it has (m + 1)/2 squares, and only a prime's
+    # tables name a least non-square for its square classes
+    for m in range(2, 400):
+        _, _, squares, _, non_square = rn._modulus_tables.__wrapped__(m)
+        assert (non_square > 0) == (m % 2 == 1 and is_prime(m) == "prime"), m
+        assert squares == {x * x % m for x in range(m)}, m
+        if non_square:
+            assert non_square not in squares and all(x in squares for x in range(non_square)), m
+
+
+def test_sieve_start_up_factors_nothing(monkeypatch):
+    # the periods, tables and plan come from walking powers of two, never from
+    # a factorization: with every cache cleared and factoring forbidden, a
+    # branch still runs through all 14 moduli and the lift to 27720
+    eq = RNEquation(1, 7)  # checking d squarefree factors it, so before the ban
+    forbidden = (arith.factorize, arith.order_of_two)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve start-up factored a number")
+
+    for name, module in list(sys.modules.items()):
+        if name == "perfdist" or name.startswith("perfdist."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in forbidden):
+                    monkeypatch.setattr(module, attr, refuse)
+    for cached in (power_cycle, rn._modulus_tables, rn._sieve_plan, rn._tile):
+        cached.cache_clear()
+    lifted = _fresh_caches(monkeypatch)
+    for args in ((), (3, "odd", rn.DEFAULT_N_MAX, BUILTIN_TABLE, True)):
+        st = analyze(eq, *args)
+        assert st.status == "open" and bool(st.open_mask) == bool(args)
+        assert {m for m, _, _ in lifted} == set(DEFAULT_MODULI)
+        assert [t["rule"] for t in st.rule_trace].count("sieve") == 14
+    assert rn._sieve_plan()[0][6][2] > 1  # 17 lifts the mask from period 60
 
 
 def test_sieve_known_obstructions():
@@ -263,6 +310,10 @@ def test_set_bits_matches_the_bit_by_bit_reference():
     rng = random.Random(14)
     masks = [0] + [1 << i for i in (0, 1, 59, 60, 63, 64, 2000)]
     masks += [rng.getrandbits(bits) for bits in (1, 8, 60, 61, 64, 65, 2001) for _ in range(20)]
+    # wider than one 2048-bit piece: around the piece boundary, and 27720-bit
+    # masks full, with only the top bit, and with 228 bits set
+    masks += [1 << 2047, 1 << 2048, (1 << 2049) - 1, rng.getrandbits(6000)]
+    masks += [(1 << 27720) - 1, 1 << 27719, sum(1 << r for r in rng.sample(range(27720), 228))]
     # the 27720-bit class masks analyze keeps, and the 2001-bit masks of the
     # exponents an open branch searches
     width = rn.DEFAULT_N_MAX + 1
@@ -441,7 +492,7 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
 
     def lossy(m, d, c):
         classes = sieve_classes(m, d, c)
-        return classes[1:] if m == q else classes
+        return classes & classes - 1 if m == q else classes
 
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(rn, "_sieve_classes", lossy)
@@ -452,10 +503,10 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
 
 def test_square_class_is_the_least_residue_of_the_same_legendre_symbol():
     for q in DEFAULT_MODULI:
-        canonical = rn._square_class.__wrapped__(q)
+        canonical = [rn._square_class(q, d) for d in range(q)]
         assert len(canonical) == q
         if is_prime(q) != "prime":  # 9 and 64 keep d itself
-            assert canonical == tuple(range(q))
+            assert canonical == list(range(q))
             continue
         symbol = [pow(d, (q - 1) // 2, q) for d in range(q)]  # Euler's criterion
         for d in range(q):
@@ -470,9 +521,9 @@ def test_search_prime_classes_depend_on_the_square_class_of_d():
     # representative, so members of one square class may share a mask
     for q in DEFAULT_MODULI:
         assert 27720 % power_cycle(q)[1] == 0
-        canonical = rn._square_class(q)
         for d, c in itertools.product(range(q), repeat=2):
-            assert rn._sieve_classes(q, canonical[d], c) == rn._sieve_classes(q, d, c), (q, d, c)
+            assert rn._sieve_classes(q, rn._square_class(q, d), c) == rn._sieve_classes(q, d, c), \
+                (q, d, c)
 
 
 def test_no_sieve_modulus_divides_another():
