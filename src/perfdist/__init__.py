@@ -8,7 +8,6 @@ with re-checkable certificates.
 """
 
 from .arith import (
-    BudgetConfig,
     DEFAULT_BUDGET,
     FactorBudgetError,
     Factorization,

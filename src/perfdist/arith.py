@@ -4,9 +4,13 @@ Squares and integer square roots, 2-adic valuation, primality, budgeted
 factorization, divisor sums, and the perfect/triangular-number predicates
 everything else is built on.
 
+Factoring has one setting, `budget`: the Brent-rho iterations one
+factorization may spend, at least 1 (DEFAULT_BUDGET unless given).  Trial
+division always runs to the constant TRIAL_DIVISION_BOUND.
+
 Primality is deterministic for n < 318665857834031151167461 (the strong
 pseudoprime bound for the first twelve prime bases, comfortably above
-2**64).  Larger inputs get `primality_rounds` extra Miller-Rabin rounds
+2**64).  Larger inputs get MILLER_RABIN_ROUNDS extra Miller-Rabin rounds
 with witnesses derived deterministically from n, and a passing verdict is
 reported as "probably_prime" (error probability <= 4**-rounds).
 Composite verdicts are always certain.
@@ -35,28 +39,9 @@ class _Checked:
         return cls(*iterable)
 
 
-class _BudgetConfig(NamedTuple):
-    trial_division_bound: int = 1_000_000
-    rho_iteration_budget: int = 10_000_000
-    primality_rounds: int = 40
-
-
-class BudgetConfig(_Checked, _BudgetConfig):
-    """Resource bounds for factorization and primality testing."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if min(self) < 1:
-            raise ValueError("all budget fields must be >= 1")
-        return self
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-
-DEFAULT_BUDGET = BudgetConfig()
+TRIAL_DIVISION_BOUND = 1_000_000
+MILLER_RABIN_ROUNDS = 40
+DEFAULT_BUDGET = 10_000_000  # Brent-rho iterations per factorization
 
 
 class _Factorization(NamedTuple):
@@ -97,14 +82,6 @@ class Factorization(_Checked, _Factorization):
         for p, e in self.factors:
             prod *= p**e
         return self.value // prod
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "factors": [[p, e] for p, e in self.factors],
-            "complete": self.complete,
-            "cofactor": self.cofactor,
-        }
 
 
 def integer_sqrt(n: int) -> int:
@@ -167,7 +144,7 @@ def _mr_witness_says_composite(n: int, a: int, d: int, r: int) -> bool:
     return True
 
 
-def is_prime(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
+def is_prime(n: int) -> str:
     """Classify n as "prime", "composite", or "probably_prime".
 
     Deterministic below DETERMINISTIC_PRIMALITY_BOUND; composite answers
@@ -195,15 +172,15 @@ def is_prime(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
 
     # Witnesses drawn from a PRNG seeded by n keep verdicts reproducible.
     rng = random.Random(n * 2654435761 + 0x9E3779B9)
-    for _ in range(cfg.primality_rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _mr_witness_says_composite(n, a, d, r):
             return "composite"
     return "probably_prime"
 
 
-def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int, bool]:
-    """Strip prime factors up to min(bound, isqrt(n)) using a 6k+-1 wheel.
+def _trial_divide(n: int) -> tuple[dict[int, int], int, bool]:
+    """Strip prime factors up to min(TRIAL_DIVISION_BOUND, isqrt(n)) with a 6k+-1 wheel.
 
     A cofactor above bound**2 that is_prime does not call composite has no
     prime factor up to the bound, so the wheel stops there, and the third
@@ -212,14 +189,14 @@ def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int, bool]
     never per wheel step; below bound**2 the wheel's own isqrt stop comes
     first.
     """
-    bound = cfg.trial_division_bound
+    bound = TRIAL_DIVISION_BOUND
     bound_sq = bound * bound
     found: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    if n > bound_sq and is_prime(n, cfg) != "composite":
+    if n > bound_sq and is_prime(n) != "composite":
         return found, n, True
     p = 5
     while p <= bound and p * p <= n:
@@ -229,7 +206,7 @@ def _trial_divide(n: int, cfg: BudgetConfig) -> tuple[dict[int, int], int, bool]
             while n % q == 0:
                 found[q] = found.get(q, 0) + 1
                 n //= q
-                if n > bound_sq and is_prime(n, cfg) != "composite":
+                if n > bound_sq and is_prime(n) != "composite":
                     return found, n, True
         p += 6
     return found, n, False
@@ -284,27 +261,29 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
 
 
 @lru_cache(maxsize=512)
-def factorize(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> Factorization:
-    """Factor n within budget; budget exhaustion yields complete=False, never an error."""
+def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """Factor n within `budget` rho iterations; exhaustion yields complete=False, never an error."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    if budget < 1:
+        raise ValueError(f"the factor budget must be >= 1, got {budget}")
     if n == 1:
         return Factorization(1, (), True)
 
-    found, rest, rest_is_prime = _trial_divide(n, cfg)
+    found, rest, rest_is_prime = _trial_divide(n)
     if rest_is_prime:
         found[rest] = 1  # above bound**2, so no factor found so far equals it
         rest = 1
 
-    budget = [cfg.rho_iteration_budget]
+    left = [budget]
     unfactored = 1
     pending = [rest] if rest > 1 else []
     while pending:
         m = pending.pop()
-        if is_prime(m, cfg) != "composite":
+        if is_prime(m) != "composite":
             found[m] = found.get(m, 0) + 1
             continue
-        f = _brent_rho(m, budget)
+        f = _brent_rho(m, left)
         if f is None or f in (1, m):
             unfactored *= m
             continue
@@ -325,17 +304,17 @@ def sigma(f: Factorization) -> int:
     return total
 
 
-def is_perfect(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> str:
+def is_perfect(n: int, budget: int = DEFAULT_BUDGET) -> str:
     """"perfect" iff the divisor sum of n equals 2n; "unknown" only on budget exhaustion."""
     if n < 1:
         raise ValueError("is_perfect requires n >= 1")
-    f = factorize(n, cfg)
+    f = factorize(n, budget)
     if not f.complete:
         return "unknown"
     return "perfect" if sigma(f) == 2 * n else "not_perfect"
 
 
-def order_of_two(m: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> int:
+def order_of_two(m: int, budget: int = DEFAULT_BUDGET) -> int:
     """ord_m(2), the least k >= 1 with 2**k = 1 (mod m), for odd m >= 1.
 
     The order divides phi(m), so it is phi(m) with each prime of phi(m)
@@ -346,7 +325,7 @@ def order_of_two(m: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> int:
         raise ValueError(f"order_of_two requires an odd m >= 1, got {m}")
 
     def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-        f = factorize(n, cfg)
+        f = factorize(n, budget)
         if not f.complete:
             raise FactorBudgetError(f"cannot find ord_{m}(2): factorization of {n} incomplete")
         return f.factors
@@ -369,9 +348,9 @@ def triangular_index(delta: int) -> int | None:
     return b if b * (b - 1) // 2 == delta else None
 
 
-def squarefree_divisors(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> list[int]:
+def squarefree_divisors(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """All squarefree divisors of n, increasing. Needs a complete factorization."""
-    f = factorize(n, cfg)
+    f = factorize(n, budget)
     if not f.complete:
         raise FactorBudgetError(f"cannot enumerate squarefree divisors of {n}: factorization incomplete")
     divisors = [1]
@@ -380,11 +359,11 @@ def squarefree_divisors(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> list[int]
     return sorted(divisors)
 
 
-def is_squarefree(n: int, cfg: BudgetConfig = DEFAULT_BUDGET) -> bool:
+def is_squarefree(n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """True when no prime square divides n. Needs a complete factorization."""
     if n < 1:
         raise ValueError("is_squarefree requires n >= 1")
-    f = factorize(n, cfg)
+    f = factorize(n, budget)
     if not f.complete:
         raise FactorBudgetError(f"cannot certify {n} squarefree: factorization incomplete")
     return all(e == 1 for _, e in f.factors)

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .arith import DEFAULT_BUDGET, BudgetConfig, FactorBudgetError
+from .arith import DEFAULT_BUDGET, FactorBudgetError
 from .decider import DeciderConfig, canonical_json, decide, verify_pair
 from .rn import (
     BUILTIN_TABLE,
@@ -52,13 +52,13 @@ def _config_from(args) -> DeciderConfig:
             table = load_table(args.table)
         except OSError as exc:
             raise _UsageError(f"cannot read {args.table}: {exc}")
-    budget = BudgetConfig(rho_iteration_budget=args.factor_budget)
-    return DeciderConfig(budget=budget, table=table)
+    return DeciderConfig(budget=args.factor_budget, table=table)
 
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--factor-budget", type=int, default=DEFAULT_BUDGET.rho_iteration_budget,
-                   help="iteration budget for factorization beyond trial division")
+    p.add_argument("--factor-budget", type=int, default=DEFAULT_BUDGET,
+                   help="Brent-rho iterations per factorization past trial division "
+                        "(at least 1, default 10^7)")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -157,31 +157,23 @@ def cmd_rn_sieve(args) -> int:
     return EXIT_OK
 
 
-def _scan_record(cfg: DeciderConfig, fingerprint: str, b: int) -> dict:
-    """The scan record of delta = b(b-1)/2; elapsed_ms times decide alone."""
+def _scan_record(cfg: DeciderConfig, fingerprint: str, b: int) -> tuple[int, int, str, int, str]:
+    """(b, delta, verdict, elapsed_ms, line) of delta = b(b-1)/2; elapsed_ms times decide alone."""
     delta = b * (b - 1) // 2
     t0 = time.perf_counter()
     report = decide(delta, cfg)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return {
-        "b": b,
-        "delta": delta,
-        "verdict": report.verdict,
-        "branches": [{"side": br.side, "d": br.d, "status": br.status.status}
-                     for br in report.branches],
-        "elapsed_ms": elapsed_ms,
-        "config_fingerprint": fingerprint,
-    }
+    return b, delta, report.verdict, elapsed_ms, _scan_line(report, elapsed_ms, fingerprint)
 
 
-def _scan_line(rec: dict) -> str:
-    # canonical_json(rec) + "\n" at a fifth of its cost: keys in sorted order, and
-    # each string is an ASCII word or hex digest, which JSON writes as it is
-    branches = ",".join([f'{{"d":{br["d"]},"side":"{br["side"]}","status":"{br["status"]}"}}'
-                         for br in rec["branches"]])
-    return (f'{{"b":{rec["b"]},"branches":[{branches}],'
-            f'"config_fingerprint":"{rec["config_fingerprint"]}","delta":{rec["delta"]},'
-            f'"elapsed_ms":{rec["elapsed_ms"]},"verdict":"{rec["verdict"]}"}}\n')
+def _scan_line(report, elapsed_ms: int, fingerprint: str) -> str:
+    # canonical_json of the scan record + "\n" at a fifth of its cost: keys in sorted
+    # order, and each string is an ASCII word or hex digest, which JSON writes as it is
+    branches = ",".join([f'{{"d":{br.d},"side":"{br.side}","status":"{br.status.status}"}}'
+                         for br in report.branches])
+    return (f'{{"b":{report.case_analysis.b},"branches":[{branches}],'
+            f'"config_fingerprint":"{fingerprint}","delta":{report.delta},'
+            f'"elapsed_ms":{elapsed_ms},"verdict":"{report.verdict}"}}\n')
 
 
 def _load_scan_records(path: str) -> dict[int, dict]:
@@ -232,7 +224,7 @@ def cmd_scan(args) -> int:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _config_from(args)
     fingerprint = cfg.fingerprint()
-    records = _load_scan_records(args.out)  # new records replace these as they arrive
+    records = _load_scan_records(args.out)  # new records replace these
 
     todo = []
     for b in range(args.b_from, args.b_to + 1):
@@ -249,15 +241,14 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
 
-    new_lines = {}  # each new record's line, encoded once for both writes
+    new = {}  # delta -> (verdict, line) of each new record; the line serves both writes
     with out_fh:
-        def emit(rec):
-            line = new_lines[rec["delta"]] = _scan_line(rec)
-            records[rec["delta"]] = rec
+        def emit(item):
+            b, delta, verdict, elapsed_ms, line = item
+            new[delta] = verdict, line
             out_fh.write(line)
             out_fh.flush()
-            print(f"delta={rec['delta']} (b={rec['b']}): {rec['verdict']} "
-                  f"[{rec['elapsed_ms']} ms]", file=sys.stderr)
+            print(f"delta={delta} (b={b}): {verdict} [{elapsed_ms} ms]", file=sys.stderr)
 
         record = functools.partial(_scan_record, cfg, fingerprint)
         # the pool starts every worker at once, so ask for no more than can be busy
@@ -269,29 +260,30 @@ def cmd_scan(args) -> int:
             # still leaves the other workers something to take
             chunksize = -(-len(todo) // (4 * workers))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for rec in pool.map(record, todo, chunksize=chunksize):
-                    emit(rec)
+                for item in pool.map(record, todo, chunksize=chunksize):
+                    emit(item)
         else:
-            for rec in map(record, todo):
-                emit(rec)
+            for item in map(record, todo):
+                emit(item)
 
     # restore delta ordering: stale records are replaced, nothing is dropped;
     # the sorted copy replaces the file only once it is whole
+    deltas = sorted(records.keys() | new.keys())
     tmp = args.out + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for delta in sorted(records):
-            fh.write(new_lines.get(delta) or canonical_json(records[delta]) + "\n")
+        for delta in deltas:
+            fh.write(new[delta][1] if delta in new else canonical_json(records[delta]) + "\n")
     os.replace(tmp, args.out)
 
     lo = args.b_from * (args.b_from - 1) // 2
     hi = args.b_to * (args.b_to - 1) // 2
-    solved = [d for d, rec in records.items()
-              if lo <= d <= hi and rec["verdict"] == "solution_found"]
+    solved = any((new[d][0] if d in new else records[d]["verdict"]) == "solution_found"
+                 for d in deltas if lo <= d <= hi)
     return EXIT_SOLUTION if solved else EXIT_OK
 
 
 def cmd_verify_pair(args) -> int:
-    check = verify_pair(args.x, args.y, BudgetConfig(rho_iteration_budget=args.factor_budget))
+    check = verify_pair(args.x, args.y, args.factor_budget)
     if args.json:
         print(canonical_json(check.to_dict()))
     else:

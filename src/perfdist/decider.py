@@ -19,9 +19,11 @@ from typing import NamedTuple
 
 from . import mersenne
 from .arith import (
-    BudgetConfig,
     DEFAULT_BUDGET,
+    MILLER_RABIN_ROUNDS,
+    TRIAL_DIVISION_BOUND,
     FactorBudgetError,
+    _Checked,
     is_perfect,
     is_prime,
     squarefree_divisors,
@@ -63,24 +65,36 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-class DeciderConfig(NamedTuple):
+class _DeciderConfig(NamedTuple):
+    budget: int = DEFAULT_BUDGET
+    table: CompletenessTable = BUILTIN_TABLE
+
+
+class DeciderConfig(_Checked, _DeciderConfig):
     """Everything decide() depends on besides delta; hashed into a fingerprint.
 
-    `moduli`, `n_max`, `exponent_cap` and `odd_perfect_log10_bound` are the
-    fixed constants `rn.DEFAULT_MODULI`, `rn.DEFAULT_N_MAX`,
-    `mersenne.DEFAULT_EXPONENT_CAP` and `ODD_PERFECT_LOG10_BOUND`, still
-    hashed so that changing any one of them invalidates scan records made
+    `budget` is the Brent-rho iteration budget, at least 1.  `to_dict` also
+    hashes the fixed constants of the method (sieve moduli, search bound,
+    trial-division bound, Miller-Rabin rounds, exponent cap, odd-perfect
+    bound), so that changing any one of them invalidates scan records made
     before it.
     """
 
-    budget: BudgetConfig = DEFAULT_BUDGET
-    table: CompletenessTable = BUILTIN_TABLE
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.budget < 1:
+            raise ValueError(f"the factor budget must be >= 1, got {self.budget}")
+        return self
 
     def to_dict(self) -> dict:
         return {
             "moduli": list(DEFAULT_MODULI),
             "n_max": DEFAULT_N_MAX,
-            "budget": self.budget.to_dict(),
+            "budget": {"trial_division_bound": TRIAL_DIVISION_BOUND,
+                       "rho_iteration_budget": self.budget,
+                       "primality_rounds": MILLER_RABIN_ROUNDS},
             "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
             "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,
             "table": self.table.to_dict(),
@@ -166,7 +180,7 @@ class BranchGeneration(NamedTuple):
         } for side, d, c, v, checks in self.pruning)
 
 
-def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGeneration:
+def generate_branches(b: int, budget: int = DEFAULT_BUDGET) -> BranchGeneration:
     """Enumerate squarefree divisors of 2*(2b-1) per side and prune by 2-adic parity.
 
     Side A's value 2**p - 1 + b and side B's 2**p - b have a fixed 2-adic
@@ -176,7 +190,7 @@ def generate_branches(b: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> BranchGene
     """
     if b < 3:
         raise ValueError("triangular index must be >= 3")
-    divisors = squarefree_divisors(2 * (2 * b - 1), cfg.budget)
+    divisors = squarefree_divisors(2 * (2 * b - 1), budget)
     surviving = []
     pruning = []
     forced = set()
@@ -283,7 +297,7 @@ class PairCheck(NamedTuple):
         return self._asdict()
 
 
-def verify_pair(x: int, y: int, budget: BudgetConfig = DEFAULT_BUDGET) -> PairCheck:
+def verify_pair(x: int, y: int, budget: int = DEFAULT_BUDGET) -> PairCheck:
     """Report whether x and y are both perfect, and |x - y|."""
     if x < 1 or y < 1:
         raise ValueError("verify_pair requires positive integers")
@@ -391,7 +405,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
 
     assert ca.b is not None
     try:
-        gen = generate_branches(ca.b, cfg)
+        gen = generate_branches(ca.b, cfg.budget)
     except FactorBudgetError:
         obstructions.append(
             f"cannot enumerate squarefree divisors of 2*(2b-1) = {2 * (2 * ca.b - 1)} "

@@ -5,7 +5,6 @@ import pytest
 
 from perfdist import arith
 from perfdist.arith import (
-    BudgetConfig,
     DETERMINISTIC_PRIMALITY_BOUND,
     FactorBudgetError,
     Factorization,
@@ -24,11 +23,11 @@ from perfdist.arith import (
 
 from oracles import divisor_sum_naive, prime_sieve, sigma_table, trial_division_is_prime
 
-# two primes (both 1 mod 4) just above the default trial-division bound;
+# two primes (both 1 mod 4) just above the trial-division bound 10^6;
 # their product resists a crippled rho budget, which is how "unknown"
 # paths get exercised
 HARD_P, HARD_Q = 1_000_033, 1_000_037
-TINY_BUDGET = BudgetConfig(trial_division_bound=100, rho_iteration_budget=1, primality_rounds=5)
+TINY_BUDGET = 1
 
 
 def test_integer_sqrt_examples():
@@ -132,17 +131,25 @@ def test_factorize_budget_exhaustion():
     assert f.cofactor == n
     full = factorize(n)
     assert full.complete and full.factors == ((HARD_P, 1), (HARD_Q, 1))
+    # a budget below 1 is an error, not an exhausted budget, at every n
+    for bad in (0, -5):
+        for m in (1, 12, n):
+            with pytest.raises(ValueError):
+                factorize(m, bad)
 
 
-def _full_wheel(n: int, cfg: BudgetConfig, monkeypatch) -> tuple[dict, int, bool]:
+def _full_wheel(n: int, monkeypatch) -> tuple[dict, int, bool]:
     # trial division with the prime-cofactor exit switched off
     with monkeypatch.context() as m:
-        m.setattr(arith, "is_prime", lambda *_: "composite")
-        return arith._trial_divide(n, cfg)
+        m.setattr(arith, "is_prime", lambda _: "composite")
+        return arith._trial_divide(n)
 
 
 def test_trial_division_early_exit_matches_full_wheel(monkeypatch):
-    cfg = BudgetConfig(trial_division_bound=1000)  # the exit needs a cofactor above 10^6
+    # the exit needs a cofactor above bound^2, so the bound is cut to 1000; the bound
+    # is not part of factorize's cache key, so the cache is cleared before and after
+    monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 1000)
+    factorize.cache_clear()
     big = 10**30 + 57  # a probable prime
     cases = {
         "large prime times small primes": (big * 2**5 * 3 * 7**2 * 997,
@@ -155,13 +162,18 @@ def test_trial_division_early_exit_matches_full_wheel(monkeypatch):
         "composite cofactor with a large prime": (3 * 7 * 1013 * big,
                                                   {3: 1, 7: 1, 1013: 1, big: 1}),
     }
-    for name, (n, expected) in cases.items():
-        found, rest, rest_is_prime = arith._trial_divide(n, cfg)
-        assert (found, rest) == _full_wheel(n, cfg, monkeypatch)[:2], name
-        assert rest_is_prime == (rest == big), name
-        # factorize goes on from (found, rest) and the flag alone, so its result is the same too
-        f = factorize(n, cfg)
-        assert f.complete and dict(f.factors) == expected, name
+    # with the bound at 1000 the wheel never tries 1009, so factorize finds it by rho
+    assert arith._trial_divide(1009 * 1013) == ({}, 1009 * 1013, False)
+    try:
+        for name, (n, expected) in cases.items():
+            found, rest, rest_is_prime = arith._trial_divide(n)
+            assert (found, rest) == _full_wheel(n, monkeypatch)[:2], name
+            assert rest_is_prime == (rest == big), name
+            # factorize goes on from (found, rest) and the flag alone, so its result is the same too
+            f = factorize(n)
+            assert f.complete and dict(f.factors) == expected, name
+    finally:
+        factorize.cache_clear()
 
 
 def test_trial_division_stops_at_a_prime_cofactor(monkeypatch):
@@ -169,27 +181,26 @@ def test_trial_division_stops_at_a_prime_cofactor(monkeypatch):
     asked = []
     said = {}  # verdicts the spy reports in place of is_prime's
 
-    def spy(n, cfg=arith.DEFAULT_BUDGET):
+    def spy(n):
         asked.append(n)
-        return said.get(n) or is_prime(n, cfg)
+        return said.get(n) or is_prime(n)
 
     monkeypatch.setattr(arith, "is_prime", spy)
     # checked once after 2 and 3 are stripped: the wheel never starts
-    assert arith._trial_divide(12 * big, arith.DEFAULT_BUDGET) == ({2: 2, 3: 1}, big, True)
+    assert arith._trial_divide(12 * big) == ({2: 2, 3: 1}, big, True)
     assert asked == [big]
     # any verdict but "composite" stops the wheel, shown here by one that
     # leaves the factor 1009 unfound
     for verdict in ("prime", "probably_prime"):
         said[1009 * big] = verdict
-        assert arith._trial_divide(1009 * big, arith.DEFAULT_BUDGET) == ({}, 1009 * big, True)
-        assert arith._trial_divide(5 * 1009 * big, arith.DEFAULT_BUDGET) == \
-            ({5: 1}, 1009 * big, True)
+        assert arith._trial_divide(1009 * big) == ({}, 1009 * big, True)
+        assert arith._trial_divide(5 * 1009 * big) == ({5: 1}, 1009 * big, True)
     # checked after each division, and not while the cofactor is below bound^2
     asked.clear()
-    assert arith._trial_divide(5**3 * 7 * big, arith.DEFAULT_BUDGET) == ({5: 3, 7: 1}, big, True)
+    assert arith._trial_divide(5**3 * 7 * big) == ({5: 3, 7: 1}, big, True)
     assert asked == [5**3 * 7 * big, 5**2 * 7 * big, 5 * 7 * big, 7 * big, big]
     asked.clear()
-    assert arith._trial_divide(5**3 * 1009, arith.DEFAULT_BUDGET) == ({5: 3}, 1009, False)
+    assert arith._trial_divide(5**3 * 1009) == ({5: 3}, 1009, False)
     assert asked == []
 
 
@@ -197,9 +208,9 @@ def test_factorize_tests_a_prime_cofactor_once(monkeypatch):
     big = 10**30 + 57
     asked = []
 
-    def spy(n, cfg=arith.DEFAULT_BUDGET):
+    def spy(n):
         asked.append(n)
-        return is_prime(n, cfg)
+        return is_prime(n)
 
     monkeypatch.setattr(arith, "is_prime", spy)
     factorize.cache_clear()

@@ -117,6 +117,34 @@ def test_verify_pair(capsys):
     assert code == 1 and "positive" in err
 
 
+def test_factor_budget_settles_the_hard_semiprime_delta(capsys):
+    # 2b - 1 = 1000033 * 1000037, two primes past the trial-division bound: only
+    # Brent rho can split it, and one iteration cannot
+    semiprime = 1_000_033 * 1_000_037
+    b = (semiprime + 1) // 2
+    delta = str(b * (b - 1) // 2)
+    code, out, _ = run_cli(capsys, "decide", delta, "--factor-budget", "1")
+    assert code == 2 and "verdict: inconclusive" in out
+    assert (f"obstruction: cannot enumerate squarefree divisors of 2*(2b-1) = {2 * semiprime} "
+            "within factor budget") in out
+    code, out, _ = run_cli(capsys, "decide", delta)
+    assert code == 0 and "verdict: eliminated" in out
+
+    code, out, _ = run_cli(capsys, "verify-pair", str(semiprime), "6", "--factor-budget", "1")
+    assert code == 2 and f"{semiprime}: unknown\n" in out and "6: perfect\n" in out
+
+
+def test_factor_budget_below_1_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    for budget in ("0", "-5"):
+        for argv in (("decide", "11"), ("verify-pair", "28", "6"),
+                     ("scan", "--b-from", "3", "--b-to", "14", "--out", str(out_file))):
+            code, out, err = run_cli(capsys, *argv, "--factor-budget", budget)
+            assert code == 1 and out == "", argv
+            assert err == f"error: the factor budget must be >= 1, got {budget}\n", argv
+    assert not out_file.exists()
+
+
 def test_scan_basic(tmp_path, capsys):
     out_file = tmp_path / "scan.jsonl"
     code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
@@ -134,14 +162,25 @@ def test_scan_basic(tmp_path, capsys):
 def test_scan_line_is_the_canonical_json_of_its_record():
     cfg = DeciderConfig()
     fingerprint = cfg.fingerprint()
-    records = [cli._scan_record(cfg, fingerprint, b) for b in range(3, 3000)
-               if b * (b - 1) // 2 % 4 == 3]
-    assert len(records) == 750
-    rec = records[-1]
-    fabricated = [{**rec, "branches": []}, {**rec, "verdict": "solution_found"},
-                  {**rec, "elapsed_ms": 1000}, {**rec, "elapsed_ms": 123456}]
-    for rec in records + fabricated:
-        assert cli._scan_line(rec) == canonical_json(rec) + "\n", rec
+    items = [cli._scan_record(cfg, fingerprint, b) for b in range(3, 3000)
+             if b * (b - 1) // 2 % 4 == 3]
+    assert len(items) == 750
+    for b, delta, verdict, elapsed_ms, line in items:
+        rec = json.loads(line)
+        assert line == canonical_json(rec) + "\n", line
+        assert (rec["b"], rec["delta"], rec["verdict"], rec["elapsed_ms"]) == \
+            (b, delta, verdict, elapsed_ms)
+        assert rec["config_fingerprint"] == fingerprint
+        report = decide(delta)
+        assert rec["branches"] == [{"d": br.d, "side": br.side, "status": br.status.status}
+                                   for br in report.branches]
+        assert set(rec) == {"b", "branches", "config_fingerprint", "delta", "elapsed_ms", "verdict"}
+    fabricated = [(report._replace(branches=()), 0), (report._replace(verdict="solution_found"), 0),
+                  (report, 1000), (report, 123456)]
+    for rep, elapsed_ms in fabricated:
+        line = cli._scan_line(rep, elapsed_ms, fingerprint)
+        assert line == canonical_json(json.loads(line)) + "\n", line
+        assert json.loads(line)["elapsed_ms"] == elapsed_ms
 
 
 def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):

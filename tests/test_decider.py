@@ -6,7 +6,6 @@ import pytest
 
 from perfdist import decider, rn
 from perfdist.arith import (
-    BudgetConfig,
     factorize,
     is_perfect,
     is_squarefree,
@@ -286,9 +285,7 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
     b = (semiprime + 1) // 2
     delta = b * (b - 1) // 2
     assert delta % 4 == 3 and delta % 12 not in (1, 11)
-    starved = DeciderConfig(budget=BudgetConfig(trial_division_bound=100,
-                                                rho_iteration_budget=1,
-                                                primality_rounds=2))
+    starved = DeciderConfig(budget=1)
     rep = decide(delta, starved)
     assert rep.verdict == "inconclusive"
     assert any("squarefree divisors" in obs for obs in rep.obstructions)
@@ -304,8 +301,11 @@ def test_config_fingerprint_tracks_content():
     assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "468102fb9ed01a54"
     # the odd-perfect bound is a hashed constant, not a field
     assert DEFAULT_CONFIG.to_dict()["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
-    other = DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999))
+    other = DeciderConfig(budget=999)
     assert other.fingerprint() != DEFAULT_CONFIG.fingerprint()
+    # the budget is the one factoring field; the bound and rounds are hashed constants
+    assert DEFAULT_CONFIG.to_dict()["budget"] == {
+        "trial_division_bound": 10**6, "rho_iteration_budget": 10**7, "primality_rounds": 40}
 
 
 def test_reports_are_byte_identical_to_pinned_digest():
@@ -427,3 +427,6 @@ def test_verify_pair():
 
     with pytest.raises(ValueError):
         verify_pair(0, 6)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            verify_pair(28, 6, bad)

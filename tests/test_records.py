@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from perfdist import arith, decider, rn
-from perfdist.arith import BudgetConfig, Factorization
+from perfdist.arith import Factorization
 from perfdist.decider import (
     Branch,
     BranchGeneration,
@@ -32,7 +32,6 @@ def _entry():
 
 # each factory builds a new record on every call
 SAMPLES = (
-    lambda: BudgetConfig(trial_division_bound=100),
     lambda: Factorization(12, ((2, 2), (3, 1)), True),
     lambda: RNEquation(5, 3),
     lambda: RNSolution(5, 7),
@@ -41,7 +40,7 @@ SAMPLES = (
     lambda: CompletenessTable((_entry(),)),
     lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), "direct_search",
                          (3, "odd", 1 << 3, False, 100)),
-    lambda: DeciderConfig(budget=BudgetConfig(rho_iteration_budget=999)),
+    lambda: DeciderConfig(budget=999),
     lambda: case_analysis(15),
     lambda: Branch("B", 1, 6),
     lambda: BranchGeneration((Branch("A", 1, -5),), (), (5,)),
@@ -56,7 +55,7 @@ def test_samples_cover_every_record_type():
                if isinstance(cls, type) and hasattr(cls, "_fields") and not name.startswith("_")
                and cls.__module__ == module.__name__}
     sampled = [type(make()) for make in SAMPLES]
-    assert len(sampled) == len(set(sampled)) == len(defined) == 15
+    assert len(sampled) == len(set(sampled)) == len(defined) == 14
     assert set(sampled) == defined
 
 
@@ -86,7 +85,7 @@ def test_solutions_sort_by_x_then_n():
 
 # each record that checks its fields, and changes that a check rejects
 CHECKED = (
-    (lambda: BudgetConfig(), {"primality_rounds": 0}),
+    (lambda: DeciderConfig(), {"budget": 0}),
     (lambda: Factorization(12, ((2, 2), (3, 1)), True), {"value": 13}),
     (lambda: RNEquation(5, 3), {"d": 4}),
     (lambda: CompletenessTable((_entry(),)),
