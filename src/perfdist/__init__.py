@@ -1,10 +1,10 @@
 """perfdist: can a given odd integer be the distance between two perfect numbers?
 
 The decision procedure reduces the question for triangular delta = 3 mod 4
-to finitely many equations d*x**2 + c = 2**n, closes each by table lookup,
-an exact adjacent-powers rule, or modular sieving, and verifies whatever
-exponents survive against actual perfect numbers.  Every verdict ships
-with re-checkable certificates.
+to finitely many equations d*x**2 + c = 2**n, closes each by one of two
+fixed cited closures, an exact adjacent-powers rule, or modular sieving,
+and verifies whatever exponents survive against actual perfect numbers.
+Every verdict ships with re-checkable certificates.
 """
 
 from .arith import (
@@ -38,7 +38,6 @@ from .mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect, lucas_lehmer
 from .rn import (
     BUILTIN_TABLE,
     BranchStatus,
-    CompletenessTable,
     DEFAULT_MODULI,
     DEFAULT_N_MAX,
     RNEquation,
@@ -48,7 +47,6 @@ from .rn import (
     adjacent_powers,
     analyze,
     direct_search,
-    load_table,
     sieve,
 )
 

@@ -3,9 +3,9 @@
 Subcommands: `decide` for a single delta, `rn solve` / `rn sieve` for raw
 equation tooling, `scan` for resumable batch surveys over triangular
 indices, and `verify-pair`.  Exit codes: 0 eliminated / success, 1 usage
-error, 2 inconclusive or out of scope (or a failed pair check), 3
-solution found.  Each subcommand takes only the flags it reads; --json
-switches a command to the stable record format.
+error, 2 inconclusive or out of scope (or a failed pair check).  Each
+subcommand takes only the flags it reads; --json switches a command to
+the stable record format.
 """
 
 from __future__ import annotations
@@ -19,19 +19,11 @@ import time
 
 from .arith import DEFAULT_BUDGET, FactorBudgetError
 from .decider import DeciderConfig, canonical_json, decide, verify_pair
-from .rn import (
-    BUILTIN_TABLE,
-    DEFAULT_N_MAX,
-    RNEquation,
-    direct_search,
-    load_table,
-    sieve,
-)
+from .rn import DEFAULT_N_MAX, RNEquation, direct_search, sieve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
-EXIT_SOLUTION = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,25 +37,10 @@ class _UsageError(Exception):
     pass
 
 
-def _config_from(args) -> DeciderConfig:
-    table = BUILTIN_TABLE
-    if args.table:
-        try:
-            table = load_table(args.table)
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.table}: {exc}")
-    return DeciderConfig(budget=args.factor_budget, table=table)
-
-
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factor-budget", type=int, default=DEFAULT_BUDGET,
                    help="Brent-rho iterations per factorization past trial division "
                         "(at least 1, default 10^7)")
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    _add_budget_flag(p)
-    p.add_argument("--table", help="path to a completeness-table file (JSON lines)")
 
 
 def _add_json_flag(p: argparse.ArgumentParser) -> None:
@@ -107,18 +84,10 @@ def _render_decision(report) -> str:
     return "\n".join(lines)
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict == "eliminated":
-        return EXIT_OK
-    if verdict == "solution_found":
-        return EXIT_SOLUTION
-    return EXIT_UNDECIDED
-
-
 def cmd_decide(args) -> int:
-    report = decide(args.delta, _config_from(args))
+    report = decide(args.delta, DeciderConfig(budget=args.factor_budget))
     print(report.to_json() if args.json else _render_decision(report))
-    return _verdict_exit(report.verdict)
+    return EXIT_OK if report.verdict == "eliminated" else EXIT_UNDECIDED
 
 
 def cmd_rn_solve(args) -> int:
@@ -222,7 +191,7 @@ def cmd_scan(args) -> int:
         raise _UsageError("need 3 <= b-from <= b-to")
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _config_from(args)
+    cfg = DeciderConfig(budget=args.factor_budget)
     fingerprint = cfg.fingerprint()
     records = _load_scan_records(args.out)  # new records replace these
 
@@ -241,11 +210,11 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc}")
 
-    new = {}  # delta -> (verdict, line) of each new record; the line serves both writes
+    new = {}  # delta -> line of each new record; the line serves both writes
     with out_fh:
         def emit(item):
             b, delta, verdict, elapsed_ms, line = item
-            new[delta] = verdict, line
+            new[delta] = line
             out_fh.write(line)
             out_fh.flush()
             print(f"delta={delta} (b={b}): {verdict} [{elapsed_ms} ms]", file=sys.stderr)
@@ -272,14 +241,9 @@ def cmd_scan(args) -> int:
     tmp = args.out + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for delta in deltas:
-            fh.write(new[delta][1] if delta in new else canonical_json(records[delta]) + "\n")
+            fh.write(new[delta] if delta in new else canonical_json(records[delta]) + "\n")
     os.replace(tmp, args.out)
-
-    lo = args.b_from * (args.b_from - 1) // 2
-    hi = args.b_to * (args.b_to - 1) // 2
-    solved = any((new[d][0] if d in new else records[d]["verdict"]) == "solution_found"
-                 for d in deltas if lo <= d <= hi)
-    return EXIT_SOLUTION if solved else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_verify_pair(args) -> int:
@@ -302,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_decide = sub.add_parser("decide", help="run the decision procedure for one delta")
     p_decide.add_argument("delta", type=int, help="positive odd integer")
-    _add_config_flags(p_decide)
+    _add_budget_flag(p_decide)
     _add_json_flag(p_decide)
     p_decide.set_defaults(func=cmd_decide)
 
@@ -334,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--jobs", type=int, default=1,
                         help="concurrent decisions (default 1), capped at the pending "
                              "deltas and the CPU count")
-    _add_config_flags(p_scan)
+    _add_budget_flag(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
     p_pair = sub.add_parser("verify-pair", help="check perfectness of two integers")

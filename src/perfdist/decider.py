@@ -33,7 +33,6 @@ from .arith import (
 from .rn import (
     BUILTIN_TABLE,
     BranchStatus,
-    CompletenessTable,
     DEFAULT_MODULI,
     DEFAULT_N_MAX,
     RNEquation,
@@ -67,17 +66,17 @@ def canonical_json(obj) -> str:
 
 class _DeciderConfig(NamedTuple):
     budget: int = DEFAULT_BUDGET
-    table: CompletenessTable = BUILTIN_TABLE
 
 
 class DeciderConfig(_Checked, _DeciderConfig):
     """Everything decide() depends on besides delta; hashed into a fingerprint.
 
-    `budget` is the Brent-rho iteration budget, at least 1.  `to_dict` also
-    hashes the fixed constants of the method (sieve moduli, search bound,
-    trial-division bound, Miller-Rabin rounds, exponent cap, odd-perfect
-    bound), so that changing any one of them invalidates scan records made
-    before it.
+    `budget` is the Brent-rho iteration budget, at least 1, and the only
+    field.  `to_dict` also hashes the fixed constants of the method (sieve
+    moduli, search bound, trial-division bound, Miller-Rabin rounds,
+    exponent cap, odd-perfect bound and the two cited rows of
+    rn.BUILTIN_TABLE), so that changing any one of them invalidates scan
+    records made before it.
     """
 
     __slots__ = ()
@@ -97,7 +96,7 @@ class DeciderConfig(_Checked, _DeciderConfig):
                        "primality_rounds": MILLER_RABIN_ROUNDS},
             "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
             "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,
-            "table": self.table.to_dict(),
+            "table": [e.to_dict() for e in BUILTIN_TABLE.values()],
         }
 
     def fingerprint(self) -> str:
@@ -425,7 +424,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     branches = []
     for side, d, c in gen.surviving:
         status = analyze(RNEquation(d, c, known_squarefree=True), p_min, n_parity,
-                         n_max, cfg.table, primes_only=True)
+                         n_max, primes_only=True)
         branches.append(Branch(side, d, c, status))
         if status.status == "open":  # with n prime, a branch stays open only on open classes
             obstructions.append(f"branch {side} d={d}: {status.open_mask.bit_count()} open classes")

@@ -1,7 +1,7 @@
 """Analysis of equations d*x**2 + c = 2**n in unknowns x >= 1, n >= 0.
 
-Three closure mechanisms, applied in order: a curated completeness table
-(entries carry citations and are re-verified by substitution), an exact
+Three closure mechanisms, applied in order: a fixed completeness table of
+two cited equations (BUILTIN_TABLE, hashed into every fingerprint), an exact
 rule for the x**2 +- 1 = 2**m patterns, and one modular sieve: the classes
 of n mod 27720 that every modulus of DEFAULT_MODULI keeps, and when n must
 be prime, only those prime to 27720.  Whatever survives is reported open,
@@ -13,7 +13,6 @@ The sieve's tables are built on first use, not at import, and factor nothing.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
@@ -228,14 +227,6 @@ class TableEntry(NamedTuple):
     solutions: tuple[RNSolution, ...]
     source: str
 
-    def verify(self) -> None:
-        eq = RNEquation(self.d, self.c)
-        for s in self.solutions:
-            t = eq.d * s.x * s.x + eq.c
-            # the bit length first: 2**n is never built wider than t
-            if s.x < 1 or s.n < 0 or t.bit_length() != s.n + 1 or t != 1 << s.n:
-                raise ValueError(f"table entry for {eq} lists a non-solution {s}")
-
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -245,81 +236,16 @@ class TableEntry(NamedTuple):
         }
 
 
-class _CompletenessTable(NamedTuple):
-    entries: tuple[TableEntry, ...]
-
-
-class _Entries(tuple):
-    """A table's entries, with their (d, c) index in the instance dict."""
-
-
-class CompletenessTable(_Checked, _CompletenessTable):
-    """Curated equations whose full solution sets are known from the literature."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[TableEntry, ...]):
-        for entry in entries:
-            entry.verify()
-        entries = _Entries(entries)
-        entries.index = {(e.d, e.c): e for e in reversed(entries)}  # the first entry wins
-        return super().__new__(cls, entries)
-
-    def lookup(self, d: int, c: int) -> TableEntry | None:
-        return self.entries.index.get((d, c))
-
-    def merged_with(self, entries: tuple[TableEntry, ...]) -> "CompletenessTable":
-        """New table where `entries` override same-(d, c) rows of this one."""
-        keep = [e for e in self.entries if not any(x.d == e.d and x.c == e.c for x in entries)]
-        return CompletenessTable(tuple(keep) + entries)
-
-    def to_dict(self) -> list[dict]:
-        return [e.to_dict() for e in self.entries]
-
-
-BUILTIN_TABLE = CompletenessTable((
+# The two cited closures the paper needs (delta = 3 and 15), by (d, c): fixed
+# and hashed into every config fingerprint; the tests replay each by substitution.
+BUILTIN_TABLE = {(e.d, e.c): e for e in (
     TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)),
                "Ramanujan-Nagell literature: 5x^2 + 3 = 2^n has exactly (x,n) = (1,3), (5,7) "
                "in positive integers"),
     TableEntry(2, 6, (RNSolution(1, 3),),
                "elementary 2-adic descent: 2x^2 + 6 = 2^n forces x^2 + 3 = 2^(n-1), and "
                "x^2 + 3 = 2^m has only (x,m) = (1,2) since x^2 = -3 mod 8 is impossible"),
-))
-
-
-def _json_int(value) -> int:
-    # a JSON integer only: not a float such as 5.7 or Infinity, nor true or false
-    if type(value) is not int:
-        raise ValueError(f"{json.dumps(value)} is not an integer")
-    return value
-
-
-def load_table(path: str) -> CompletenessTable:
-    """Read table entries from a JSON-lines file and merge them over BUILTIN_TABLE.
-
-    One object per line: {"d": int, "c": int, "solutions": [[x, n], ...],
-    "source": str}, where d, c, x and n must be JSON integers.  Blank lines
-    and lines starting with # are skipped.  Every entry is re-verified by
-    substitution on load.
-    """
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                entry = TableEntry(
-                    _json_int(obj["d"]), _json_int(obj["c"]),
-                    tuple(RNSolution(_json_int(x), _json_int(n)) for x, n in obj["solutions"]),
-                    str(obj["source"]),
-                )
-                entry.verify()
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad table entry: {exc}") from exc
-            entries.append(entry)
-    return BUILTIN_TABLE.merged_with(tuple(entries))
+)}
 
 
 class BranchStatus(NamedTuple):
@@ -433,11 +359,10 @@ def analyze(eq: RNEquation,
             n_min: int = 0,
             n_parity: str = "any",
             n_max: int = DEFAULT_N_MAX,
-            table: CompletenessTable = BUILTIN_TABLE,
             primes_only: bool = False) -> BranchStatus:
     """Run the closure pipeline on one equation.
 
-    Order: completeness table, adjacent-powers rule, then the sieve: the
+    Order: BUILTIN_TABLE, adjacent-powers rule, then the sieve: the
     memoized class masks of DEFAULT_MODULI are ANDed until one leaves
     nothing, which closes the branch up to finitely many small exponents,
     each tested.  For n restricted to primes, a class r mod 27720 with
@@ -452,7 +377,7 @@ def analyze(eq: RNEquation,
     if n_max < n_min:
         raise ValueError("n_max must be >= n_min")
 
-    entry = table.lookup(eq.d, eq.c)
+    entry = BUILTIN_TABLE.get(eq)  # eq is the pair (d, c)
     if entry is not None:
         return BranchStatus(eq, "closed_complete", _in_range(entry.solutions, n_min, n_parity),
                             "completeness_table", entry)

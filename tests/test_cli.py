@@ -304,24 +304,24 @@ def test_scan_parallel_worker_pool(tmp_path, capsys):
         assert canonical_json(json.loads(line)) == line
 
 
-def test_scan_workers_receive_the_loaded_table(tmp_path, capsys):
-    # the pool pickles a DeciderConfig carrying the loaded table into each
-    # worker; the table closes delta = 595's one open branch, A d=2 (its
-    # solutions with n <= 300), and that flips the verdict
-    table = tmp_path / "table.jsonl"
-    table.write_text('{"d": 2, "c": -34, "solutions": [[5, 4], [7, 6], [9, 7], [23, 10]], '
-                     '"source": "fixture"}\n')
+def test_scan_workers_receive_the_factor_budget(tmp_path, capsys):
+    # the pool pickles the DeciderConfig, whose one field is the rho budget, into
+    # each worker; the first b has 2b - 1 = 1000033*1000037, which one rho
+    # iteration cannot split, so the budget flips its verdict
+    hard = (1_000_033 * 1_000_037 + 1) // 2
     outputs = {}
-    for name, extra in (("plain", ()), ("jobs1", ("--table", str(table))),
-                        ("jobs2", ("--table", str(table), "--jobs", "2"))):
+    for name, extra in (("default", ()), ("jobs1", ("--factor-budget", "1")),
+                        ("jobs2", ("--factor-budget", "1", "--jobs", "2"))):
         outputs[name] = tmp_path / f"{name}.jsonl"
-        assert run_cli(capsys, "scan", "--b-from", "3", "--b-to", "35",
+        assert run_cli(capsys, "scan", "--b-from", str(hard), "--b-to", str(hard + 3),
                        "--out", str(outputs[name]), *extra)[0] == 0
-    plain, jobs1, jobs2 = (_records_without_timing(outputs[n]) for n in ("plain", "jobs1", "jobs2"))
-    assert [r["delta"] for r in jobs2] == [3, 15, 55, 91, 171, 231, 351, 435, 595]
+    default, jobs1, jobs2 = (_records_without_timing(outputs[n])
+                             for n in ("default", "jobs1", "jobs2"))
+    assert [r["b"] for r in jobs2] == [hard, hard + 3]
     assert jobs2 == jobs1
-    assert plain[-1]["verdict"] == "inconclusive" and jobs2[-1]["verdict"] == "eliminated"
-    assert {"side": "A", "d": 2, "status": "closed_complete"} in jobs2[-1]["branches"]
+    assert [r["verdict"] for r in jobs2] == ["inconclusive", "eliminated"]
+    assert [r["verdict"] for r in default] == ["eliminated", "eliminated"]
+    assert jobs2[0]["config_fingerprint"] != default[0]["config_fingerprint"]
 
 
 def test_decide_and_jobs_1_scan_load_no_dataclasses_or_process_pool(tmp_path):
@@ -472,39 +472,16 @@ def test_scan_bad_arguments(tmp_path, capsys):
         assert code == 1 and "--jobs must be >= 1" in err and not out_file.exists()
 
 
-def test_custom_table_flag(tmp_path, capsys):
-    table = tmp_path / "table.jsonl"
-    table.write_text('{"d": 3, "c": 5, "solutions": [[1, 3], [3, 5]], "source": "fixture"}\n')
-    code, out, _ = run_cli(capsys, "decide", "15", "--table", str(table), "--json")
-    assert code == 0
-    default_fp = json.loads(run_cli(capsys, "decide", "15", "--json")[1])["config_fingerprint"]
-    assert json.loads(out)["config_fingerprint"] != default_fp
-
-    for path in (tmp_path / "missing.jsonl", tmp_path):
-        code, _, err = run_cli(capsys, "decide", "15", "--table", str(path))
-        assert code == 1 and f"cannot read {path}: " in err
-        code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
-                               "--out", str(tmp_path / "scan.jsonl"), "--table", str(path))
-        assert code == 1 and f"cannot read {path}: " in err
-
-
-def test_table_values_that_are_not_json_integers_exit_1(tmp_path, capsys):
-    table = tmp_path / "table.jsonl"
-    for value in ("Infinity", "1e400", "5.7", "true"):
-        table.write_text(f'{{"d": {value}, "c": 3, "solutions": [[1, 3]], "source": "x"}}\n')
-        code, out, err = run_cli(capsys, "decide", "15", "--table", str(table))
-        assert code == 1 and out == "" and err.startswith(f"error: {table}:1: bad table entry")
-    # int() raised OverflowError on Infinity, and the command died with a traceback
-    table.write_text('{"d": Infinity, "c": 3, "solutions": [], "source": "x"}\n')
-    proc = subprocess.run([sys.executable, "-m", "perfdist", "decide", "15", "--table", str(table)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-
-
-def test_subcommands_reject_flags_they_do_not_read(capsys):
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify-pair", "28", "6", "--table", "x")
     assert code == 1 and "--table" in err
+    # no command reads a table file any more
+    out_file = tmp_path / "scan.jsonl"
+    for argv in (("decide", "15", "--table", "x"),
+                 ("scan", "--b-from", "3", "--b-to", "6", "--out", str(out_file), "--table", "x")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "--table" in err, argv
+    assert not out_file.exists()
     code, _, err = run_cli(capsys, "rn", "sieve", "1", "6", "--modulus", "3", "--n-max", "5")
     assert code == 1 and "--n-max" in err
 

@@ -18,16 +18,11 @@ from perfdist.decider import (
 )
 from perfdist.rn import (
     BranchStatus,
-    CompletenessTable,
     RNEquation,
     RNSolution,
     TableEntry,
     sieve,
 )
-
-
-def _entry():
-    return TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)), "fixture")
 
 
 # each factory builds a new record on every call
@@ -36,8 +31,7 @@ SAMPLES = (
     lambda: RNEquation(5, 3),
     lambda: RNSolution(5, 7),
     lambda: sieve(RNEquation(1, 7), 8, 3, "odd"),
-    _entry,
-    lambda: CompletenessTable((_entry(),)),
+    lambda: TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)), "fixture"),
     lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), "direct_search",
                          (3, "odd", 1 << 3, False, 100)),
     lambda: DeciderConfig(budget=999),
@@ -55,7 +49,7 @@ def test_samples_cover_every_record_type():
                if isinstance(cls, type) and hasattr(cls, "_fields") and not name.startswith("_")
                and cls.__module__ == module.__name__}
     sampled = [type(make()) for make in SAMPLES]
-    assert len(sampled) == len(set(sampled)) == len(defined) == 14
+    assert len(sampled) == len(set(sampled)) == len(defined) == 13
     assert set(sampled) == defined
 
 
@@ -88,8 +82,6 @@ CHECKED = (
     (lambda: DeciderConfig(), {"budget": 0}),
     (lambda: Factorization(12, ((2, 2), (3, 1)), True), {"value": 13}),
     (lambda: RNEquation(5, 3), {"d": 4}),
-    (lambda: CompletenessTable((_entry(),)),
-     {"entries": (TableEntry(5, 3, (RNSolution(1, 4),), "not a solution"),)}),
 )
 
 

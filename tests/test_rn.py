@@ -12,15 +12,12 @@ from perfdist.arith import is_prime, is_squarefree, order_of_two
 from perfdist.rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
-    CompletenessTable,
     RNEquation,
     RNSolution,
     SieveReport,
-    TableEntry,
     adjacent_powers,
     analyze,
     direct_search,
-    load_table,
     power_cycle,
     sieve,
     solution_at,
@@ -165,7 +162,7 @@ def test_sieve_start_up_factors_nothing(monkeypatch):
     for cached in (power_cycle, rn._modulus_tables, rn._sieve_plan, rn._tile):
         cached.cache_clear()
     lifted = _fresh_caches(monkeypatch)
-    for args in ((), (3, "odd", rn.DEFAULT_N_MAX, BUILTIN_TABLE, True)):
+    for args in ((), (3, "odd", rn.DEFAULT_N_MAX, True)):
         st = analyze(eq, *args)
         assert st.status == "open" and bool(st.open_mask) == bool(args)
         assert {m for m, _, _ in lifted} == set(DEFAULT_MODULI)
@@ -243,64 +240,17 @@ def test_sieve_tables_match_per_class_powers():
 
 
 def test_builtin_table():
-    assert BUILTIN_TABLE.lookup(5, 3).solutions == (RNSolution(1, 3), RNSolution(5, 7))
-    assert BUILTIN_TABLE.lookup(2, 6).solutions == (RNSolution(1, 3),)
-    assert BUILTIN_TABLE.lookup(2, -2) is None
-    for entry in BUILTIN_TABLE.entries:
-        assert entry.source
-
-
-def test_table_rejects_non_solutions():
-    with pytest.raises(ValueError):
-        CompletenessTable((TableEntry(5, 3, (RNSolution(2, 3),), "bogus"),))
-
-
-def test_table_lookup_uses_its_index():
-    entries = tuple(TableEntry(d, c, (), f"fixture {d} {c}")
-                    for d in (1, 2, 3, 5, 6, 7) for c in range(-40, 41) if c)
-    table = CompletenessTable(entries + (TableEntry(5, 3, (), "shadowed"),))
-
-    def walk(tab, d, c):
-        return next((e for e in tab.entries if e.d == d and e.c == c), None)
-
-    for copy_ in (table, pickle.loads(pickle.dumps(table)), table._replace(entries=entries[:9])):
-        for d, c in itertools.product(range(9), range(-45, 46)):
-            assert copy_.lookup(d, c) == walk(copy_, d, c), (d, c)
-    # the first of two entries for one (d, c) wins, as in a walk over the entries
-    assert table.lookup(5, 3).source == "fixture 5 3"
-    # a lookup reads the index, not the entries
-    assert table.entries.index[5, 3] is table.lookup(5, 3)
-    assert len(table.entries.index) == len(entries) and table.entries == entries + (
-        TableEntry(5, 3, (), "shadowed"),)
-
-
-def test_load_table(tmp_path):
-    path = tmp_path / "table.jsonl"
-    path.write_text(
-        "# extra closures\n"
-        "\n"
-        '{"d": 3, "c": 5, "solutions": [[1, 3], [3, 5]], "source": "test fixture"}\n'
-        '{"d": 5, "c": 3, "solutions": [[1, 3], [5, 7]], "source": "override"}\n'
-    )
-    table = load_table(str(path))
-    assert table.lookup(3, 5).solutions == (RNSolution(1, 3), RNSolution(3, 5))
-    assert table.lookup(5, 3).source == "override"
-    assert table.lookup(2, 6) is not None  # builtin entry retained
-
-    bad = tmp_path / "bad.jsonl"
-    for line in ('{"d": 5, "c": 3, "solutions": [[2, 3]], "source": "wrong"}',
-                 # d, c, x and n must be JSON integers: no float, however it would convert
-                 '{"d": Infinity, "c": 3, "solutions": [], "source": "overflows int()"}',
-                 '{"d": 5, "c": 3, "solutions": [[1, 1e400]], "source": "overflows int()"}',
-                 '{"d": 5.7, "c": 3, "solutions": [[1, 3], [5, 7]], "source": "int() gives 5"}',
-                 '{"d": 1, "c": 1, "solutions": [[1, 1.0]], "source": "int() gives 1"}',
-                 '{"d": true, "c": 1, "solutions": [[1, 1]], "source": "int() gives 1"}',
-                 '{"d": 1, "c": 1, "solutions": ["11"], "source": "int() gives 1, 1"}',
-                 # rejected without building 2^n, a 125 GB integer
-                 '{"d": 1, "c": 1, "solutions": [[1, 1000000000000]], "source": "huge n"}'):
-        bad.write_text(line + "\n")
-        with pytest.raises(ValueError, match="bad table entry"):
-            load_table(str(bad))
+    assert list(BUILTIN_TABLE) == [(5, 3), (2, 6)]
+    assert BUILTIN_TABLE[5, 3].solutions == (RNSolution(1, 3), RNSolution(5, 7))
+    assert BUILTIN_TABLE[2, 6].solutions == (RNSolution(1, 3),)
+    assert BUILTIN_TABLE.get((2, -2)) is None
+    for (d, c), entry in BUILTIN_TABLE.items():
+        assert (entry.d, entry.c) == (d, c) and entry.source
+        # each listed pair solves the equation by substitution, and no other
+        # solution has n <= 3000
+        for x, n in entry.solutions:
+            assert x >= 1 and n >= 0 and d * x * x + c == 1 << n, (d, c, x, n)
+        assert direct_search(RNEquation(d, c), 0, 3000) == list(entry.solutions)
 
 
 def test_set_bits_matches_the_bit_by_bit_reference():
@@ -594,7 +544,7 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     # n >= 6 keeps its class open
     equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
                  + _planted(83, 14, lambda i: (6, 200))
-                 if BUILTIN_TABLE.lookup(eq.d, eq.c) is None and adjacent_powers(eq) is None]
+                 if BUILTIN_TABLE.get(eq) is None and adjacent_powers(eq) is None]
     cases = list(itertools.product(equations, (0, 2, 7, 61), ("any", "odd")))
     # the same cases with c moved by a multiple of every modulus: same residues
     shifted = [(RNEquation(eq.d, eq.c + shift), *rest) for eq, *rest in cases]
@@ -693,7 +643,7 @@ def _sieve_misses(st, solutions, n_min, parity, primes_only):
 def test_sieve_never_misses_a_solution_of_a_decide_branch():
     # every branch decide analyzes for b < 300, called as decide calls it,
     # against every solution with n <= 3000
-    from perfdist.decider import DEFAULT_CONFIG, _min_exponent, generate_branches
+    from perfdist.decider import _min_exponent, generate_branches
 
     branches = 0
     for b in range(3, 300):
@@ -704,8 +654,7 @@ def test_sieve_never_misses_a_solution_of_a_decide_branch():
         parity = "odd" if p_min > 2 else "any"
         for _, d, c in generate_branches(b).surviving:
             eq = RNEquation(d, c, known_squarefree=True)
-            st = analyze(eq, p_min, parity, max(rn.DEFAULT_N_MAX, p_min), DEFAULT_CONFIG.table,
-                         primes_only=True)
+            st = analyze(eq, p_min, parity, max(rn.DEFAULT_N_MAX, p_min), primes_only=True)
             misses = _sieve_misses(st, direct_search(eq, p_min, 3000), p_min, parity, True)
             assert misses == [], (b, d, c)
             branches += 1
