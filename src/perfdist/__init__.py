@@ -12,10 +12,8 @@ from .arith import (
     FactorBudgetError,
     Factorization,
     factorize,
-    integer_sqrt,
     is_perfect,
     is_prime,
-    is_square,
     sigma,
     squarefree_divisors,
     triangular_index,
@@ -26,8 +24,6 @@ from .decider import (
     CandidateCheck,
     CaseAnalysis,
     DecisionReport,
-    DeciderConfig,
-    DEFAULT_CONFIG,
     case_analysis,
     check_candidate,
     decide,

@@ -1,8 +1,7 @@
 """Arbitrary-precision integer primitives.
 
-Squares and integer square roots, 2-adic valuation, primality, budgeted
-factorization, divisor sums, and the perfect/triangular-number predicates
-everything else is built on.
+2-adic valuation, primality, budgeted factorization, divisor sums, and
+the perfect/triangular-number predicates everything else is built on.
 
 Factoring has one setting, `budget`: the Brent-rho iterations one
 factorization may spend, at least 1 (DEFAULT_BUDGET unless given).  Trial
@@ -82,23 +81,6 @@ class Factorization(_Checked, _Factorization):
         for p, e in self.factors:
             prod *= p**e
         return self.value // prod
-
-
-def integer_sqrt(n: int) -> int:
-    """Floor square root: the s with s*s <= n < (s+1)*(s+1)."""
-    if n < 0:
-        raise ValueError("integer_sqrt requires n >= 0")
-    return isqrt(n)
-
-
-def is_square(n: int) -> tuple[bool, int | None]:
-    """Return (True, r) with r*r == n, or (False, None). Negative n is never a square."""
-    if n < 0:
-        return False, None
-    r = isqrt(n)
-    if r * r == n:
-        return True, r
-    return False, None
 
 
 def v2(n: int) -> int:

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .arith import DEFAULT_BUDGET, FactorBudgetError
-from .decider import DeciderConfig, canonical_json, decide, verify_pair
+from .decider import canonical_json, decide, fingerprint, verify_pair
 from .rn import DEFAULT_N_MAX, RNEquation, direct_search, sieve
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def _render_decision(report) -> str:
 
 
 def cmd_decide(args) -> int:
-    report = decide(args.delta, DeciderConfig(budget=args.factor_budget))
+    report = decide(args.delta, args.factor_budget)
     print(report.to_json() if args.json else _render_decision(report))
     return EXIT_OK if report.verdict == "eliminated" else EXIT_UNDECIDED
 
@@ -126,11 +126,11 @@ def cmd_rn_sieve(args) -> int:
     return EXIT_OK
 
 
-def _scan_record(cfg: DeciderConfig, fingerprint: str, b: int) -> tuple[int, int, str, int, str]:
+def _scan_record(budget: int, fingerprint: str, b: int) -> tuple[int, int, str, int, str]:
     """(b, delta, verdict, elapsed_ms, line) of delta = b(b-1)/2; elapsed_ms times decide alone."""
     delta = b * (b - 1) // 2
     t0 = time.perf_counter()
-    report = decide(delta, cfg)
+    report = decide(delta, budget)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return b, delta, report.verdict, elapsed_ms, _scan_line(report, elapsed_ms, fingerprint)
 
@@ -191,8 +191,9 @@ def cmd_scan(args) -> int:
         raise _UsageError("need 3 <= b-from <= b-to")
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = DeciderConfig(budget=args.factor_budget)
-    fingerprint = cfg.fingerprint()
+    if args.factor_budget < 1:
+        raise _UsageError(f"the factor budget must be >= 1, got {args.factor_budget}")
+    config_fingerprint = fingerprint(args.factor_budget)
     records = _load_scan_records(args.out)  # new records replace these
 
     todo = []
@@ -201,7 +202,7 @@ def cmd_scan(args) -> int:
         if delta % 4 != 3:
             continue
         prior = records.get(delta)
-        if prior is not None and prior.get("config_fingerprint") == fingerprint:
+        if prior is not None and prior.get("config_fingerprint") == config_fingerprint:
             continue
         todo.append(b)
 
@@ -219,7 +220,7 @@ def cmd_scan(args) -> int:
             out_fh.flush()
             print(f"delta={delta} (b={b}): {verdict} [{elapsed_ms} ms]", file=sys.stderr)
 
-        record = functools.partial(_scan_record, cfg, fingerprint)
+        record = functools.partial(_scan_record, args.factor_budget, config_fingerprint)
         # the pool starts every worker at once, so ask for no more than can be busy
         workers = min(args.jobs, len(todo), os.cpu_count() or 1)
         if workers > 1:

@@ -23,7 +23,6 @@ from .arith import (
     MILLER_RABIN_ROUNDS,
     TRIAL_DIVISION_BOUND,
     FactorBudgetError,
-    _Checked,
     is_perfect,
     is_prime,
     squarefree_divisors,
@@ -42,8 +41,8 @@ from .rn import (
 
 
 # Ochem and Rao proved that every odd perfect number exceeds 10**1500, so an
-# odd n below it is not perfect.  A proven theorem, not a setting: it is not
-# a DeciderConfig field, but to_dict() hashes it.
+# odd n below it is not perfect.  A proven theorem, not a setting: decide()
+# takes no argument for it, but config() hashes it.
 ODD_PERFECT_LOG10_BOUND = 1500
 ODD_PERFECT_SOURCE = ("P. Ochem and M. Rao, Odd perfect numbers are greater than 10^1500, "
                       "Math. Comp. 81 (2012), 1869-1877")
@@ -64,49 +63,31 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-class _DeciderConfig(NamedTuple):
-    budget: int = DEFAULT_BUDGET
-
-
-class DeciderConfig(_Checked, _DeciderConfig):
-    """Everything decide() depends on besides delta; hashed into a fingerprint.
-
-    `budget` is the Brent-rho iteration budget, at least 1, and the only
-    field.  `to_dict` also hashes the fixed constants of the method (sieve
-    moduli, search bound, trial-division bound, Miller-Rabin rounds,
-    exponent cap, odd-perfect bound and the two cited rows of
-    rn.BUILTIN_TABLE), so that changing any one of them invalidates scan
-    records made before it.
+def config(budget: int) -> dict:
+    """Everything decide() depends on besides delta: the Brent-rho `budget`
+    and the fixed constants of the method (sieve moduli, search bound,
+    trial-division bound, Miller-Rabin rounds, exponent cap, odd-perfect
+    bound and the two cited rows of rn.BUILTIN_TABLE).  The fingerprint
+    hashes it, so changing any one of them invalidates older scan records.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.budget < 1:
-            raise ValueError(f"the factor budget must be >= 1, got {self.budget}")
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "moduli": list(DEFAULT_MODULI),
-            "n_max": DEFAULT_N_MAX,
-            "budget": {"trial_division_bound": TRIAL_DIVISION_BOUND,
-                       "rho_iteration_budget": self.budget,
-                       "primality_rounds": MILLER_RABIN_ROUNDS},
-            "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
-            "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,
-            "table": [e.to_dict() for e in BUILTIN_TABLE.values()],
-        }
-
-    def fingerprint(self) -> str:
-        import hashlib  # here, not at import: only fingerprints use it, and loading it is slow
-
-        digest = hashlib.sha256(canonical_json(self.to_dict()).encode("ascii"))
-        return digest.hexdigest()[:16]
+    return {
+        "moduli": list(DEFAULT_MODULI),
+        "n_max": DEFAULT_N_MAX,
+        "budget": {"trial_division_bound": TRIAL_DIVISION_BOUND,
+                   "rho_iteration_budget": budget,
+                   "primality_rounds": MILLER_RABIN_ROUNDS},
+        "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
+        "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,
+        "table": [e.to_dict() for e in BUILTIN_TABLE.values()],
+    }
 
 
-DEFAULT_CONFIG = DeciderConfig()
+def fingerprint(budget: int) -> str:
+    """The first 16 hex digits of the SHA-256 of config(budget) as canonical JSON."""
+    import hashlib  # here, not at import: only fingerprints use it, and loading it is slow
+
+    digest = hashlib.sha256(canonical_json(config(budget)).encode("ascii"))
+    return digest.hexdigest()[:16]
 
 
 class CaseAnalysis(NamedTuple):
@@ -139,15 +120,12 @@ class Branch(NamedTuple):
     side: str  # "A" | "B"
     d: int
     c: int
-    status: BranchStatus | None = None
+    status: BranchStatus
 
     def to_dict(self) -> dict:
-        out = {"side": self.side, "d": self.d, "c": self.c}
-        if self.status is not None:
-            out["status"] = self.status.status
-            out["solutions"] = [s.as_pair() for s in self.status.solutions]
-            out["rule_trace"] = list(self.status.rule_trace)
-        return out
+        return {"side": self.side, "d": self.d, "c": self.c, "status": self.status.status,
+                "solutions": [s.as_pair() for s in self.status.solutions],
+                "rule_trace": list(self.status.rule_trace)}
 
 
 class BranchGeneration(NamedTuple):
@@ -156,16 +134,12 @@ class BranchGeneration(NamedTuple):
     `surviving` holds (side, d, c) per surviving pair and `pruning` holds
     (side, d, c, v, checks) per pruned pair: v is the side value's 2-adic
     valuation for p > v, and checks pairs each prime p <= v with its
-    solution or None.  `branches` and `pruned` render them on each read.
+    solution or None.  `pruned` renders the pruning facts on each read.
     """
 
     surviving: tuple[tuple, ...]
     pruning: tuple[tuple, ...]
     forced_candidate_primes: tuple[int, ...]
-
-    @property
-    def branches(self) -> tuple[Branch, ...]:
-        return tuple(Branch(*pair) for pair in self.surviving)
 
     @property
     def pruned(self) -> tuple[dict, ...]:
@@ -316,7 +290,7 @@ class DecisionReport(NamedTuple):
     verdict: str  # "eliminated" | "inconclusive" | "out_of_scope"
     base_certificates: dict
     obstructions: tuple[str, ...]
-    config: DeciderConfig
+    budget: int
     generation: BranchGeneration | None = None
 
     @property
@@ -336,8 +310,8 @@ class DecisionReport(NamedTuple):
             "candidates": [c.to_dict() for c in self.candidates],
             "certificates": self.certificates,
             "obstructions": list(self.obstructions),
-            "config": self.config.to_dict(),
-            "config_fingerprint": self.config.fingerprint(),
+            "config": config(self.budget),
+            "config_fingerprint": fingerprint(self.budget),
         }
 
     def to_json(self) -> str:
@@ -354,7 +328,7 @@ def _min_exponent(delta: int) -> int:
     return p
 
 
-def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
+def decide(delta: int, budget: int = DEFAULT_BUDGET) -> DecisionReport:
     """Run the whole procedure on one odd delta and assemble the verdict.
 
     eliminated: delta provably cannot be the distance between two perfect
@@ -363,8 +337,11 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
     open branch, an exhausted budget or a value past the odd-perfect bound
     stands in the way; the obstruction is named.  out_of_scope: the method
     does not cover this delta.  A pair would need an odd perfect number, so
-    decide never returns "solution_found".
+    decide never returns "solution_found".  `budget` (at least 1) is the
+    Brent-rho iteration budget of each factorization.
     """
+    if budget < 1:
+        raise ValueError(f"the factor budget must be >= 1, got {budget}")
     ca = case_analysis(delta)
     certificates: dict = {
         "touchard": {"residue_mod_12": delta % 12, "blocked": ca.touchard_blocked},
@@ -380,7 +357,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
                 "source": ODD_PERFECT_SOURCE,
             }
         return DecisionReport(delta, ca, d6, tuple(branches), tuple(candidates),
-                              verdict, certificates, tuple(obstructions), cfg, gen)
+                              verdict, certificates, tuple(obstructions), budget, gen)
 
     if ca.touchard_blocked:
         certificates["touchard"]["conclusion"] = (
@@ -404,7 +381,7 @@ def decide(delta: int, cfg: DeciderConfig = DEFAULT_CONFIG) -> DecisionReport:
 
     assert ca.b is not None
     try:
-        gen = generate_branches(ca.b, cfg.budget)
+        gen = generate_branches(ca.b, budget)
     except FactorBudgetError:
         obstructions.append(
             f"cannot enumerate squarefree divisors of 2*(2b-1) = {2 * (2 * ca.b - 1)} "

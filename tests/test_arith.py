@@ -9,10 +9,8 @@ from perfdist.arith import (
     FactorBudgetError,
     Factorization,
     factorize,
-    integer_sqrt,
     is_perfect,
     is_prime,
-    is_square,
     is_squarefree,
     order_of_two,
     sigma,
@@ -28,39 +26,6 @@ from oracles import divisor_sum_naive, prime_sieve, sigma_table, trial_division_
 # paths get exercised
 HARD_P, HARD_Q = 1_000_033, 1_000_037
 TINY_BUDGET = 1
-
-
-def test_integer_sqrt_examples():
-    assert integer_sqrt(0) == 0
-    assert integer_sqrt(25) == 5
-    s = integer_sqrt(8125)
-    assert s == 90 and s * s <= 8125 < (s + 1) * (s + 1)
-
-
-def test_integer_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
-
-
-def test_integer_sqrt_roundtrip_random():
-    rng = random.Random(2024)
-    for _ in range(500):
-        n = rng.getrandbits(rng.randrange(1, 257))
-        s = integer_sqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
-
-
-def test_is_square():
-    assert is_square(25) == (True, 5)
-    assert is_square(0) == (True, 0)
-    assert is_square(2**7 - 3) == (False, None)
-    assert is_square(-4) == (False, None)
-    rng = random.Random(7)
-    for _ in range(200):
-        r = rng.randrange(0, 10**12)
-        assert is_square(r * r) == (True, r)
-        ok, root = is_square(r * r + 1)
-        assert root is None and not ok or r * r + 1 == (r + 1) ** 2
 
 
 def test_v2():

@@ -8,7 +8,8 @@ import pytest
 
 from perfdist import cli, rn
 from perfdist.cli import main
-from perfdist.decider import BranchGeneration, DeciderConfig, canonical_json, decide
+from perfdist.arith import DEFAULT_BUDGET
+from perfdist.decider import BranchGeneration, canonical_json, decide, fingerprint
 
 
 def run_cli(capsys, *argv):
@@ -160,9 +161,8 @@ def test_scan_basic(tmp_path, capsys):
 
 
 def test_scan_line_is_the_canonical_json_of_its_record():
-    cfg = DeciderConfig()
-    fingerprint = cfg.fingerprint()
-    items = [cli._scan_record(cfg, fingerprint, b) for b in range(3, 3000)
+    config_fingerprint = fingerprint(DEFAULT_BUDGET)
+    items = [cli._scan_record(DEFAULT_BUDGET, config_fingerprint, b) for b in range(3, 3000)
              if b * (b - 1) // 2 % 4 == 3]
     assert len(items) == 750
     for b, delta, verdict, elapsed_ms, line in items:
@@ -170,7 +170,7 @@ def test_scan_line_is_the_canonical_json_of_its_record():
         assert line == canonical_json(rec) + "\n", line
         assert (rec["b"], rec["delta"], rec["verdict"], rec["elapsed_ms"]) == \
             (b, delta, verdict, elapsed_ms)
-        assert rec["config_fingerprint"] == fingerprint
+        assert rec["config_fingerprint"] == config_fingerprint
         report = decide(delta)
         assert rec["branches"] == [{"d": br.d, "side": br.side, "status": br.status.status}
                                    for br in report.branches]
@@ -178,7 +178,7 @@ def test_scan_line_is_the_canonical_json_of_its_record():
     fabricated = [(report._replace(branches=()), 0), (report._replace(verdict="solution_found"), 0),
                   (report, 1000), (report, 123456)]
     for rep, elapsed_ms in fabricated:
-        line = cli._scan_line(rep, elapsed_ms, fingerprint)
+        line = cli._scan_line(rep, elapsed_ms, config_fingerprint)
         assert line == canonical_json(json.loads(line)) + "\n", line
         assert json.loads(line)["elapsed_ms"] == elapsed_ms
 
@@ -305,9 +305,9 @@ def test_scan_parallel_worker_pool(tmp_path, capsys):
 
 
 def test_scan_workers_receive_the_factor_budget(tmp_path, capsys):
-    # the pool pickles the DeciderConfig, whose one field is the rho budget, into
-    # each worker; the first b has 2b - 1 = 1000033*1000037, which one rho
-    # iteration cannot split, so the budget flips its verdict
+    # the pool pickles the rho budget into each worker; the first b has
+    # 2b - 1 = 1000033*1000037, which one rho iteration cannot split, so the
+    # budget flips its verdict
     hard = (1_000_033 * 1_000_037 + 1) // 2
     outputs = {}
     for name, extra in (("default", ()), ("jobs1", ("--factor-budget", "1")),

@@ -6,18 +6,19 @@ import pytest
 
 from perfdist import decider, rn
 from perfdist.arith import (
+    DEFAULT_BUDGET,
     factorize,
     is_perfect,
     is_squarefree,
     squarefree_divisors,
 )
 from perfdist.decider import (
-    DEFAULT_CONFIG,
     ODD_PERFECT_LOG10_BOUND,
-    DeciderConfig,
     case_analysis,
     check_candidate,
+    config,
     decide,
+    fingerprint,
     generate_branches,
     verify_pair,
 )
@@ -47,7 +48,7 @@ def test_case_analysis_examples():
 
 def test_generate_branches_b6():
     gen = generate_branches(6)
-    assert [(br.side, br.d, br.c) for br in gen.branches] == [
+    assert list(gen.surviving) == [
         ("A", 1, -5), ("A", 11, -5), ("B", 2, 6), ("B", 22, 6),
     ]
     assert {(p["side"], p["d"]) for p in gen.pruned} == {
@@ -58,7 +59,7 @@ def test_generate_branches_b6():
 
 def test_generate_branches_b3():
     gen = generate_branches(3)
-    assert [(br.side, br.d, br.c) for br in gen.branches] == [
+    assert list(gen.surviving) == [
         ("A", 2, -2), ("A", 10, -2), ("B", 1, 3), ("B", 5, 3),
     ]
     # before pruning, each side sees every squarefree divisor of 10
@@ -70,20 +71,20 @@ def test_generate_branches_cover_the_divisor_cross_product():
         gen = generate_branches(b)
         divisors = squarefree_divisors(2 * (2 * b - 1))
         expected = {(side, d) for side in ("A", "B") for d in divisors}
-        got = {(br.side, br.d) for br in gen.branches}
+        got = {(side, d) for side, d, _ in gen.surviving}
         got |= {(p["side"], p["d"]) for p in gen.pruned}
         assert got == expected, b
         for p in gen.pruned:
             assert "side_value_v2" in p and "reason" in p
-        for br in gen.branches:
-            assert br.c == (1 - b if br.side == "A" else b)
+        for side, _, c in gen.surviving:
+            assert c == (1 - b if side == "A" else b)
 
 
 def test_branch_divisors_are_squarefree():
     # decide builds each branch's equation without factoring d again
     for b in range(3, 300):
         gen = generate_branches(b)
-        assert all(is_squarefree(br.d) for br in gen.branches), b
+        assert all(is_squarefree(d) for _, d, _ in gen.surviving), b
         assert all(is_squarefree(pr["d"]) for pr in gen.pruned), b
 
 
@@ -285,7 +286,7 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
     b = (semiprime + 1) // 2
     delta = b * (b - 1) // 2
     assert delta % 4 == 3 and delta % 12 not in (1, 11)
-    starved = DeciderConfig(budget=1)
+    starved = 1
     rep = decide(delta, starved)
     assert rep.verdict == "inconclusive"
     assert any("squarefree divisors" in obs for obs in rep.obstructions)
@@ -296,15 +297,21 @@ def test_decide_budget_exhaustion_is_inconclusive_not_an_error():
     assert decide(15, starved).verdict == "eliminated"
 
 
+def test_decide_rejects_a_factor_budget_below_1():
+    # a mod-12-blocked delta such as 11 never factors, so only this check sees the budget
+    for delta, budget in ((11, 0), (15, -5)):
+        with pytest.raises(ValueError, match=f"^the factor budget must be >= 1, got {budget}$"):
+            decide(delta, budget)
+
+
 def test_config_fingerprint_tracks_content():
     # scan records made under this fingerprint are reused on resume
-    assert DEFAULT_CONFIG.fingerprint() == DeciderConfig().fingerprint() == "468102fb9ed01a54"
-    # the odd-perfect bound is a hashed constant, not a field
-    assert DEFAULT_CONFIG.to_dict()["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
-    other = DeciderConfig(budget=999)
-    assert other.fingerprint() != DEFAULT_CONFIG.fingerprint()
-    # the budget is the one factoring field; the bound and rounds are hashed constants
-    assert DEFAULT_CONFIG.to_dict()["budget"] == {
+    assert fingerprint(DEFAULT_BUDGET) == "468102fb9ed01a54"
+    # the odd-perfect bound is a hashed constant, not a setting
+    assert config(DEFAULT_BUDGET)["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
+    assert fingerprint(999) != fingerprint(DEFAULT_BUDGET)
+    # the budget is the one factoring setting; the bound and rounds are hashed constants
+    assert config(DEFAULT_BUDGET)["budget"] == {
         "trial_division_bound": 10**6, "rho_iteration_budget": 10**7, "primality_rounds": 40}
 
 
@@ -408,7 +415,7 @@ def test_report_serialization_roundtrip():
     blob = rep.to_json()
     parsed = json.loads(blob)
     assert parsed["verdict"] == "eliminated"
-    assert parsed["config_fingerprint"] == rep.config.fingerprint()
+    assert parsed["config_fingerprint"] == fingerprint(rep.budget)
     from perfdist.decider import canonical_json
 
     assert canonical_json(parsed) == blob

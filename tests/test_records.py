@@ -9,7 +9,6 @@ from perfdist.arith import Factorization
 from perfdist.decider import (
     Branch,
     BranchGeneration,
-    DeciderConfig,
     PairCheck,
     case_analysis,
     check_candidate,
@@ -34,10 +33,10 @@ SAMPLES = (
     lambda: TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)), "fixture"),
     lambda: BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),), "direct_search",
                          (3, "odd", 1 << 3, False, 100)),
-    lambda: DeciderConfig(budget=999),
     lambda: case_analysis(15),
-    lambda: Branch("B", 1, 6),
-    lambda: BranchGeneration((Branch("A", 1, -5),), (), (5,)),
+    lambda: Branch("B", 1, 7, BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),),
+                                           "direct_search", (3, "odd", 1 << 3, False, 100))),
+    lambda: BranchGeneration((("A", 1, -5),), (), (5,)),
     lambda: check_candidate(11, 15),
     lambda: verify_pair(28, 6),
     lambda: decide(15),
@@ -49,7 +48,7 @@ def test_samples_cover_every_record_type():
                if isinstance(cls, type) and hasattr(cls, "_fields") and not name.startswith("_")
                and cls.__module__ == module.__name__}
     sampled = [type(make()) for make in SAMPLES]
-    assert len(sampled) == len(set(sampled)) == len(defined) == 13
+    assert len(sampled) == len(set(sampled)) == len(defined) == 12
     assert set(sampled) == defined
 
 
@@ -79,7 +78,6 @@ def test_solutions_sort_by_x_then_n():
 
 # each record that checks its fields, and changes that a check rejects
 CHECKED = (
-    (lambda: DeciderConfig(), {"budget": 0}),
     (lambda: Factorization(12, ((2, 2), (3, 1)), True), {"value": 13}),
     (lambda: RNEquation(5, 3), {"d": 4}),
 )
