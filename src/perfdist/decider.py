@@ -400,9 +400,8 @@ def decide(delta: int, budget: int = DEFAULT_BUDGET) -> DecisionReport:
     n_max = max(DEFAULT_N_MAX, p_min)
     branches = []
     for side, d, c in gen.surviving:
-        status = analyze(RNEquation(d, c, known_squarefree=True), p_min, n_parity,
-                         n_max, primes_only=True)
-        branches.append(Branch(side, d, c, status))
+        status = analyze(RNEquation(d, c, True), p_min, n_parity, n_max, True)
+        branches.append(tuple.__new__(Branch, (side, d, c, status)))  # skips NamedTuple's __new__
         if status.status == "open":  # with n prime, a branch stays open only on open classes
             obstructions.append(f"branch {side} d={d}: {status.open_mask.bit_count()} open classes")
 

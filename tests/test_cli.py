@@ -360,12 +360,13 @@ def test_import_loads_no_hashlib():
 
 def test_importing_the_cli_builds_no_sieve_table():
     # the sieve's periods, tables, plan and memo cost start-up time only to a
-    # run that sieves: importing builds none of them
+    # run that sieves: importing builds none of them, and the plan's mask
+    # tables start empty when a run builds it
     code = ("import perfdist.cli\n"
             "from perfdist import rn\n"
             "print(*(f.cache_info().currsize for f in (rn.power_cycle, rn._modulus_tables,\n"
             "                                          rn._sieve_plan, rn._tile)),\n"
-            "      len(rn._lifted))\n")
+            "      sum(len(step[-1]) for step in rn._sieve_plan()[0]))\n")
     src = os.path.dirname(os.path.dirname(rn.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -369,22 +370,25 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
 
 
 def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):
-    # keyed (m, d mod m, c mod m): at most m^2 keys per modulus, but the d of
-    # one square class share the mask built for the least of them, so a
-    # modulus with s square classes builds at most s*m masks
+    # keyed d*m + c for d = d mod m, c = c mod m: at most m^2 keys per modulus,
+    # but the d of one square class share the mask built for the least of them,
+    # so a modulus with s square classes builds at most s*m masks
     moduli = rn.DEFAULT_MODULI
     bound = sum(len({rn._square_class(m, d) for d in range(m)}) * m for m in moduli)
     assert bound == 5005 and sum(m * m for m in moduli) == 12421
-    lifted = {}
-    monkeypatch.setattr(rn, "_lifted", lifted)
+    # a fresh plan holds fresh tables, and monkeypatch restores the old plan
+    monkeypatch.setattr(rn, "_sieve_plan", lru_cache(rn._sieve_plan.__wrapped__))
     for b in range(3, 3000):
         if b * (b - 1) // 2 % 4 == 3:
             decide(b * (b - 1) // 2)
-    built = [(m, d, c) for m, d, c in lifted if rn._square_class(m, d) == d]
-    assert 0 < len(built) <= bound and len(lifted) <= 12421
+    keys = [(m, *divmod(key, m), masks) for m, _, _, _, masks in rn._sieve_plan()[0]
+            for key in masks]
+    built = [(m, d, c) for m, d, c, _ in keys if rn._square_class(m, d) == d]
+    assert 0 < len(built) <= bound and len(keys) <= 12421
+    assert {m for m, *_ in keys} == set(moduli)
     # an aliased key holds the very mask of its square class's least member
-    for m, d, c in lifted:
-        assert lifted[m, d, c] is lifted[m, rn._square_class(m, d), c]
+    for m, d, c, masks in keys:
+        assert masks[d * m + c] is masks[rn._square_class(m, d) * m + c]
 
 
 def test_verdict_count_over_the_benchmark_scan():

@@ -3,7 +3,8 @@ import itertools
 import pickle
 import random
 import sys
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -74,6 +75,28 @@ def test_solution_at():
     assert solution_at(RNEquation(5, 3), 6) is None
     assert solution_at(RNEquation(1, 8), 3) is None  # x = 0 is out of domain
     assert solution_at(RNEquation(1, -17), 2) is None  # negative right side
+    # past 2^64 a quotient that is no square mod 47 or 53 is rejected before
+    # isqrt: every planted solution is still found, x a multiple of 47 or 53
+    # included, and random exponents agree with a plain isqrt
+    rng = random.Random(71)
+    planted = [(d, x, n) for d, x, n in
+               ((rng.randrange(1, 200), rng.randrange(1 << rng.choice((0, 32, 500)), 1 << 1000)
+                 * rng.choice((1, 47, 53, 2491)), rng.randrange(64, 2001)) for _ in range(600))
+               if is_squarefree(d) and (1 << n) != d * x * x]
+    assert len(planted) > 300 and sum(x >> 32 > 0 for _, x, _ in planted) > 200
+    for d, x, n in planted:
+        assert solution_at(RNEquation(d, (1 << n) - d * x * x), n) == RNSolution(x, n), (d, x, n)
+
+    def reference(eq, n):
+        t = (1 << n) - eq.c
+        q, r = divmod(t, eq.d)
+        return RNSolution(isqrt(q), n) if t > 0 and r == 0 and isqrt(q) ** 2 == q else None
+
+    for d, x, n in planted:
+        # near misses: d*(x^2 + k) + c = 2^n, mostly a non-square quotient
+        eq = RNEquation(d, (1 << n) - d * (x * x + rng.randrange(1, 5000)))
+        for m in (n, n - 1, n + 1, rng.randrange(0, 2001)):
+            assert solution_at(eq, m) == reference(eq, m), (eq, m)
 
 
 def test_adjacent_powers_patterns():
@@ -161,11 +184,13 @@ def test_sieve_start_up_factors_nothing(monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     for cached in (power_cycle, rn._modulus_tables, rn._sieve_plan, rn._tile):
         cached.cache_clear()
-    lifted = _fresh_caches(monkeypatch)
+    tables = _fresh_caches(monkeypatch)
+    assert sorted(tables) == sorted(DEFAULT_MODULI) and not any(tables.values())
     for args in ((), (3, "odd", rn.DEFAULT_N_MAX, True)):
         st = analyze(eq, *args)
         assert st.status == "open" and bool(st.open_mask) == bool(args)
-        assert {m for m, _, _ in lifted} == set(DEFAULT_MODULI)
+        # every modulus memoized a mask for the open branch, under d*m + c
+        assert all(masks.get(m + 7 % m) for m, masks in tables.items())
         assert [t["rule"] for t in st.rule_trace].count("sieve") == 14
     assert rn._sieve_plan()[0][6][2] > 1  # 17 lifts the mask from period 60
 
@@ -426,12 +451,15 @@ def test_analyze_open_search_matches_full_range_search():
 
 
 def _fresh_caches(monkeypatch):
-    # analyze keeps its class masks in rn._lifted; with a fresh one it sieves
-    # again through whatever rn._sieve_classes is in place, not through masks
-    # an earlier test left
-    lifted = {}
-    monkeypatch.setattr(rn, "_lifted", lifted)
-    return lifted
+    """Each modulus's mask table, by modulus, of a fresh sieve plan.
+
+    analyze keeps its class masks in the tables of rn._sieve_plan(); with a
+    fresh plan it sieves again through whatever rn._sieve_classes is in
+    place, not through masks an earlier test left, and the test's masks go
+    with the plan when monkeypatch restores the old one.
+    """
+    monkeypatch.setattr(rn, "_sieve_plan", lru_cache(rn._sieve_plan.__wrapped__))
+    return {m: masks for m, _, _, _, masks in rn._sieve_plan()[0]}
 
 
 @pytest.mark.parametrize("q", DEFAULT_MODULI[6:])
@@ -474,6 +502,22 @@ def test_search_prime_classes_depend_on_the_square_class_of_d():
         for d, c in itertools.product(range(q), repeat=2):
             assert rn._sieve_classes(q, rn._square_class(q, d), c) == rn._sieve_classes(q, d, c), \
                 (q, d, c)
+
+
+def test_sieve_ands_the_period_60_moduli_by_their_closing_share():
+    # the share of pairs (d mod m, c mod m) whose classes, lifted to period
+    # 60, hold no odd n: the sieve ANDs the six moduli it ANDs at period 60
+    # by that share, the one that closes the most branches alone first
+    steps, _, start, _, _ = rn._sieve_plan()
+    share = {}
+    for m in DEFAULT_MODULI[:6]:
+        lift = rn._tile(1, power_cycle(m)[1], 60)
+        share[m] = sum(not rn._sieve_classes(m, d, c) * lift & start["odd"]
+                       for d in range(m) for c in range(m)) / (m * m)
+    assert [step[:2] for step in steps[:6]] == [(m, 60) for m in
+                                               sorted(share, key=share.get, reverse=True)]
+    assert [round(100 * share[m]) for m, *_ in steps[:6]] == [87, 44, 20, 14, 9, 8]
+    assert [m for m, *_ in steps[6:]] == list(DEFAULT_MODULI[6:])
 
 
 def test_no_sieve_modulus_divides_another():
@@ -570,25 +614,29 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
         got = [t for t in trace if t["rule"] in ("sieve", "sieve_combination")]
         assert got == expected[case], case
 
-    lifted = _fresh_caches(monkeypatch)
+    tables = _fresh_caches(monkeypatch)
     for case in cases:
         check(case)
-    held = len(lifted)
+    held = {m: dict(masks) for m, masks in tables.items()}
     for case, moved in zip(reversed(cases), reversed(shifted)):
         check(case)
         check(moved)
-    # the warm pass, shifted equations included, found every key
-    assert len(lifted) == held
+    # the warm pass, shifted equations included, found every key at its mask
+    assert all(held[m].items() == masks.items() for m, masks in tables.items())
+    assert sum(map(len, held.values())) > 100
 
 
 def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatch):
-    # 5x^2 + 5 is 0 mod 5 and 2^n never is: the first modulus analyze ANDs
-    # closes the branch, and the trace still carries all 14 "sieve" entries
+    # 5x^2 + 5 = 5(x^2 + 1) is never 0 mod 64, and 2^n is from n = 6 on: the
+    # first modulus analyze ANDs closes the branch, with one empty mask in
+    # its table, and the trace still carries all 14 "sieve" entries
     eq = RNEquation(5, 5)
-    lifted = _fresh_caches(monkeypatch)
-    assert rn._sieve_plan()[0][0][:2] == (5, 60)
+    tables = _fresh_caches(monkeypatch)
+    assert rn._sieve_plan()[0][0][:2] == (64, 60)
     st = analyze(eq, 3, "odd")
-    assert st.status == "closed_finite_n" and list(lifted) == [(5, 0, 0)]
+    assert st.status == "closed_finite_n" and st.rule_trace[-1]["n_values"] == [3, 5]
+    assert {m: list(masks) for m, masks in tables.items() if masks} == {64: [5 * 64 + 5]}
+    assert tables[64][5 * 64 + 5] == 0
     entries = [t for t in st.rule_trace if t["rule"] == "sieve"]
     assert entries == [sieve(eq, m, 3, "odd").to_dict() for m in DEFAULT_MODULI]
     assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
