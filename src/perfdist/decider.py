@@ -36,6 +36,7 @@ from .rn import (
     DEFAULT_N_MAX,
     RNEquation,
     analyze,
+    n_constraints,
     solution_at,
 )
 
@@ -389,18 +390,16 @@ def decide(delta: int, budget: int = DEFAULT_BUDGET) -> DecisionReport:
         return report("inconclusive", d6, obstructions=obstructions)
 
     p_min = _min_exponent(delta)
-    n_parity = "odd" if p_min > 2 else "any"
+    n_parity, _ = n_constraints(p_min)
     certificates["exponent_floor"] = {
         "p_min": p_min,
         "n_parity": n_parity,
         "reason": "least prime p with 2^(p-1)*(2^p - 1) > delta; smaller p cannot give m - delta >= 1",
     }
 
-    # analyze needs n_max >= n_min, and p_min passes DEFAULT_N_MAX once delta >= m(1999)
-    n_max = max(DEFAULT_N_MAX, p_min)
     branches = []
     for side, d, c in gen.surviving:
-        status = analyze(RNEquation(d, c, True), p_min, n_parity, n_max, True)
+        status = analyze(RNEquation(d, c, True), p_min)
         branches.append(tuple.__new__(Branch, (side, d, c, status)))  # skips NamedTuple's __new__
         if status.status == "open":  # with n prime, a branch stays open only on open classes
             obstructions.append(f"branch {side} d={d}: {status.open_mask.bit_count()} open classes")

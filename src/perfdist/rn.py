@@ -3,11 +3,12 @@
 Three closure mechanisms, applied in order: a fixed completeness table of
 two cited equations (BUILTIN_TABLE, hashed into every fingerprint), an exact
 rule for the x**2 +- 1 = 2**m patterns, and one modular sieve: the classes
-of n mod 27720 that every modulus of DEFAULT_MODULI keeps, and when n must
-be prime, only those prime to 27720.  Whatever survives is reported open,
-with a bounded search over the surviving classes, which finds every
-solution up to the bound as each sieve is sound.  analyze records only
-facts, from which the rule trace, a certificate per rule, is rendered.
+of n mod 27720 that every modulus of DEFAULT_MODULI keeps, of which a
+prime n can lie only in those prime to 27720.  Whatever survives is
+reported open, with a bounded search over the surviving classes, which
+finds every solution up to the bound as each sieve is sound.  analyze
+records only facts, from which the rule trace, one certificate per rule,
+is rendered.
 The sieve's tables, and its memo of class masks by modulus, are built on
 first use, not at import, and factor nothing.
 """
@@ -15,14 +16,14 @@ first use, not at import, and factor nothing.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from typing import NamedTuple
 
 from .arith import _Checked, is_prime, is_squarefree, v2
 
-# In report and config order; analyze ANDs them in _sieve_plan's order.  Their periods
-# combine to 27720.  None divides another (solvable mod k means mod k's divisors).
-DEFAULT_MODULI = (5, 7, 9, 11, 13, 64, 17, 19, 23, 29, 31, 37, 41, 43)
+# In the order analyze ANDs them, which reports and the config list: see _sieve_plan.
+# Their periods combine to 27720.  None divides another (solvable mod k means mod k's divisors).
+DEFAULT_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 DEFAULT_N_MAX = 2000
 # bounds sieve()'s tables, whose time and memory grow with the modulus
 MAX_MODULUS = 10**6
@@ -129,7 +130,7 @@ class SieveReport(NamedTuple):
     small_n_to_check: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        # the "sieve" rule-trace entry; every list and dict in it is new
+        # the output of `rn sieve --json`; every list and dict in it is new
         return {"rule": "sieve", **self._asdict(), "equation": self.equation.to_dict(),
                 "surviving_classes": list(self.surviving_classes),
                 "small_n_to_check": list(self.small_n_to_check)}
@@ -249,8 +250,15 @@ BUILTIN_TABLE = {(e.d, e.c): e for e in (
 )}
 
 
+@lru_cache(maxsize=None)  # analyze reads it for every branch, with few distinct n_min
+def n_constraints(n_min: int) -> tuple[str, int]:
+    """(n_parity, n_max) of analyze(eq, n_min), whose n is prime and >= n_min:
+    odd once n_min > 2, and an open branch is searched up to n_max."""
+    return "odd" if n_min > 2 else "any", max(DEFAULT_N_MAX, n_min)
+
+
 class BranchStatus(NamedTuple):
-    """Outcome of analysing one equation under the stated n-constraints.
+    """Outcome of analysing one equation for prime n >= n_min.
 
     closed_complete: `solutions` is provably the complete set.
     closed_finite_n: the certificates in `rule_trace` exclude every n outside
@@ -259,8 +267,11 @@ class BranchStatus(NamedTuple):
 
     `rule` names the last rule applied and `facts` what `rule_trace` renders
     its certificates from on each read: the TableEntry for "completeness_table",
-    () for "adjacent_powers", else (n_min, n_parity, mask, primes_only, n_max),
-    where bit r of mask is set iff class r of the combined period survived.
+    () for "adjacent_powers", else (n_min, mask, emptied_at, open_mask).  Bit r
+    of mask is set iff class r of the combined period survived every modulus,
+    for every n when n_min <= 2 and odd n otherwise; emptied_at is the modulus
+    whose AND left it empty, else None; open_mask keeps its classes prime to
+    the period, 0 unless the branch is open.
     """
 
     equation: RNEquation
@@ -274,10 +285,8 @@ class BranchStatus(NamedTuple):
 
     @property
     def open_mask(self) -> int:
-        # bit r set iff the prime-class closure left class r open, 0 if it did not run
-        if self.status == "closed_complete" or not self.facts[3]:
-            return 0
-        return self.facts[2] & _sieve_plan()[3]
+        # bit r set iff class r of the combined period is open, as analyze found it
+        return self.facts[3] if self.status == "open" else 0
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
@@ -289,18 +298,13 @@ class BranchStatus(NamedTuple):
             return ({"rule": self.rule, "pattern": f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m",
                      "power_shift": v2(eq.d), "kept": kept,
                      "complete_solutions": [s.as_pair() for s in adjacent_powers(eq)]},)
-        n_min, n_parity, mask, primes_only, n_max = self.facts
-        steps, threshold, _, units, _ = _sieve_plan()
-        period = steps[-1][1]
-        trace = [sieve(eq, m, n_min, n_parity).to_dict() for m in DEFAULT_MODULI]
-        trace.append({"rule": "sieve_combination", "moduli": list(DEFAULT_MODULI),
-                      "combined_period": period, "valid_from": max(n_min, threshold),
-                      "surviving_classes": _set_bits(mask)})
-        if primes_only and mask:
-            trace.append({"rule": "prime_class_closure", "n_restricted_to_primes": True,
-                          "closed_classes": [{"residue": r, "gcd": gcd(r, period)}
-                                             for r in _set_bits(mask & ~units)],
-                          "open_classes": _set_bits(self.open_mask)})
+        n_min, mask, emptied_at, open_mask = self.facts
+        n_parity, n_max = n_constraints(n_min)
+        steps, threshold, _, _, _ = _sieve_plan()
+        trace = [{"rule": "sieve", "moduli": list(DEFAULT_MODULI),
+                  "combined_period": steps[-1][1], "n_min": n_min, "n_parity": n_parity,
+                  "valid_from": max(n_min, threshold), "emptied_at": emptied_at,
+                  "open_classes": _set_bits(open_mask)}]
         if self.rule == "finite_checks":
             trace.append({"rule": self.rule, "solutions": kept,
                           "n_values": _finite_checks(n_min, n_parity, mask)})
@@ -324,10 +328,10 @@ def _tile(mask: int, period: int, width: int) -> int:
 def _sieve_plan() -> tuple:
     """(steps, threshold, start, units, primes) of analyze's sieve.
 
-    steps holds (modulus, period, lift, unit, masks) in the order analyze
-    ANDs them: DEFAULT_MODULI[:6], whose periods divide 60, by the share of
-    pairs (d mod m, c mod m) each leaves no odd class (64: 87%, 9: 44%,
-    5: 20%, 7: 14%, 11: 9%, 13: 8%), then the rest as listed.  The mask
+    steps holds (modulus, period, lift, unit, masks) per modulus of
+    DEFAULT_MODULI, in order.  Its first six, whose periods divide 60, go
+    by the share of pairs (d mod m, c mod m) each leaves no odd class
+    (64: 87%, 9: 44%, 5: 20%, 7: 14%, 11: 9%, 13: 8%).  The mask
     starts at period 60 as start[n_parity], and the first modulus whose
     period does not divide 60 lifts it, times lift, to the full period K;
     a class mask times unit covers the period, and masks is the step's memo
@@ -335,10 +339,9 @@ def _sieve_plan() -> tuple:
     bit g for each prime g | K: a class r with gcd(r, K) = g > 1 holds no
     prime but g.
     """
-    order = (64, 9, 5, 7, 11, 13, *DEFAULT_MODULI[6:])
-    thresholds, periods = zip(*map(power_cycle, order))
+    thresholds, periods = zip(*map(power_cycle, DEFAULT_MODULI))
     full, steps, period = lcm(2, *periods), [], 60
-    for m, p in zip(order, periods):
+    for m, p in zip(DEFAULT_MODULI, periods):
         width = full if period % p else period
         steps.append((m, width, _tile(1, period, width), _tile(1, p, width), {}))
         period = width
@@ -373,28 +376,22 @@ def _finite_checks(n_min: int, n_parity: str, mask: int) -> list[int]:
     return [*_exponents(n_min, valid_from, n_parity), *_set_bits(held)]
 
 
-def analyze(eq: RNEquation,
-            n_min: int = 0,
-            n_parity: str = "any",
-            n_max: int = DEFAULT_N_MAX,
-            primes_only: bool = False) -> BranchStatus:
-    """Run the closure pipeline on one equation.
+def analyze(eq: RNEquation, n_min: int = 0) -> BranchStatus:
+    """Run the closure pipeline on one equation, for prime n >= n_min.
 
     Order: BUILTIN_TABLE, adjacent-powers rule, then the sieve: the
-    memoized class masks of DEFAULT_MODULI are ANDed, 64 first, until one
+    memoized class masks of DEFAULT_MODULI are ANDed in order until one
     leaves nothing, which closes the branch up to finitely many small
-    exponents, each tested.  For n restricted to primes, a class r mod
-    27720 with g = gcd(r, 27720) > 1 holds at most the prime g, tested
-    too.  Anything else is open, with the solutions with n <= n_max,
-    found by testing the exponents below valid_from or in surviving
-    classes.
+    exponents, each tested.  A class r mod 27720 with g = gcd(r, 27720) > 1
+    holds at most the prime g, tested too.  Anything else is open, with
+    the solutions with n <= n_max, found by testing the exponents below
+    valid_from or in surviving classes.  n_constraints(n_min) gives the
+    parity and n_max.  Only the closure uses primality: the exponents
+    tested and the solutions kept are every n of that parity.
     """
-    if n_parity not in ("any", "odd"):
-        raise ValueError("n_parity must be 'any' or 'odd'")
     if n_min < 0:
         raise ValueError(f"n_min must be >= 0, got {n_min}")
-    if n_max < n_min:
-        raise ValueError("n_max must be >= n_min")
+    n_parity, n_max = n_constraints(n_min)
 
     entry = BUILTIN_TABLE.get(eq)  # eq is the pair (d, c)
     if entry is not None:
@@ -417,8 +414,10 @@ def analyze(eq: RNEquation,
         mask &= classes
         if not mask:
             break
-    facts = (n_min, n_parity, mask, primes_only, n_max)
-    if not mask or primes_only and not mask & units:
+    open_mask = mask & units
+    # a mask is empty only when the loop broke at the modulus m that emptied it
+    facts = (n_min, mask, None if mask else m, open_mask)
+    if not open_mask:
         found = ()
         if mask or n_min < threshold:  # else no exponent is left to test
             found = tuple(sorted(_solutions_at(eq, _finite_checks(n_min, n_parity, mask))))

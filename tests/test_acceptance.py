@@ -77,9 +77,8 @@ def test_criterion_2_decide_15(capsys):
 
     for key in (("A", 1), ("A", 11)):
         # x^2 = 5 has no root mod 8, so none mod 64, the 2-adic sieve modulus
-        mod64 = [t for t in branches[key]["rule_trace"]
-                 if t["rule"] == "sieve" and t["modulus"] == 64]
-        ok &= len(mod64) == 1 and mod64[0]["surviving_classes"] == []
+        sieved = [t for t in branches[key]["rule_trace"] if t["rule"] == "sieve"]
+        ok &= len(sieved) == 1 and sieved[0]["emptied_at"] == 64
         ok &= branches[key]["status"] == "closed_finite_n"
         ok &= branches[key]["solutions"] == []
 

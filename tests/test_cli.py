@@ -186,7 +186,8 @@ def test_scan_line_is_the_canonical_json_of_its_record():
 def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, monkeypatch):
     # a scan record reads only statuses, so a scan renders no rule-trace entry
     # and no pruning certificate; a serialized report renders each entry once,
-    # as many as when analyze and generate_branches built them eagerly
+    # one sieve certificate per sieved branch, and rendering calls rn.sieve
+    # zero times
     calls, built = [], collections.Counter()
     sieve = rn.sieve
     monkeypatch.setattr(rn, "sieve", lambda *a: calls.append(a) or sieve(*a))
@@ -207,20 +208,17 @@ def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, m
     code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "299", "--jobs", "1",
                          "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0 and calls == [] and not built
-    # per delta: sieve, sieve_combination, prime_class_closure, finite_checks,
-    # direct_search entries and pruning certificates
-    for delta, counts in ((55, (112, 8, 2, 6, 2, 8)), (171, (56, 4, 1, 4, 0, 4)),
-                          (44551, (112, 8, 1, 7, 1, 8)), (4492503, (224, 16, 2, 14, 2, 16))):
+    # per delta: sieve, finite_checks and direct_search entries and pruning certificates
+    for delta, counts in ((55, (8, 6, 2, 8)), (171, (4, 4, 0, 4)),
+                          (44551, (8, 7, 1, 8)), (4492503, (16, 14, 2, 16))):
         report = decide(delta)
         assert calls == [] and not built
         parsed = json.loads(report.to_json())
         traces = [br["rule_trace"] for br in parsed["branches"]]
-        assert len(calls) == counts[0] == sum(t["rule"] == "sieve" for tr in traces for t in tr)
+        assert calls == [] and counts[0] == sum(t["rule"] == "sieve" for tr in traces for t in tr)
         assert built == collections.Counter(dict(zip(
-            ("sieve", "sieve_combination", "prime_class_closure", "finite_checks",
-             "direct_search", "parity_pruning"), counts)))
+            ("sieve", "finite_checks", "direct_search", "parity_pruning"), counts)))
         assert len(parsed["certificates"]["parity_pruning"]) == counts[-1]
-        calls.clear()
         built.clear()
 
 

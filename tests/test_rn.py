@@ -186,12 +186,12 @@ def test_sieve_start_up_factors_nothing(monkeypatch):
         cached.cache_clear()
     tables = _fresh_caches(monkeypatch)
     assert sorted(tables) == sorted(DEFAULT_MODULI) and not any(tables.values())
-    for args in ((), (3, "odd", rn.DEFAULT_N_MAX, True)):
-        st = analyze(eq, *args)
-        assert st.status == "open" and bool(st.open_mask) == bool(args)
+    for n_min in (0, 3):
+        st = analyze(eq, n_min)
+        assert st.status == "open" and st.open_mask
         # every modulus memoized a mask for the open branch, under d*m + c
         assert all(masks.get(m + 7 % m) for m, masks in tables.items())
-        assert [t["rule"] for t in st.rule_trace].count("sieve") == 14
+        assert st.rule_trace[0]["emptied_at"] is None
     assert rn._sieve_plan()[0][6][2] > 1  # 17 lifts the mask from period 60
 
 
@@ -294,10 +294,10 @@ def test_set_bits_matches_the_bit_by_bit_reference():
     width = rn.DEFAULT_N_MAX + 1
     for eq in [RNEquation(1, 7), RNEquation(2, 14), RNEquation(5, -16)] + \
             random_equations(14, 20, d_max=60, c_max=500):
-        for n_min, parity in ((0, "any"), (7, "odd")):
-            st = analyze(eq, n_min, parity)
+        for n_min in (0, 7):
+            st = analyze(eq, n_min)
             if st.status != "closed_complete":
-                masks += [st.facts[2], st.facts[2] & ((1 << width) - 1)]
+                masks += [st.facts[1], st.facts[1] & ((1 << width) - 1)]
     assert any(m.bit_length() > 27000 for m in masks)
     for mask in masks:
         assert rn._set_bits(mask) == reference(mask), mask
@@ -315,8 +315,8 @@ def test_analyze_adjacent_route():
     assert st.status == "closed_complete"
     assert st.solutions == (RNSolution(3, 4),)
     assert st.rule_trace[0]["rule"] == "adjacent_powers"
-    # an odd-n constraint filters the even-exponent solution out of scope
-    st = analyze(RNEquation(2, -2), n_parity="odd")
+    # from n_min = 3 on a prime n is odd: the even-exponent solution is out of scope
+    st = analyze(RNEquation(2, -2), 3)
     assert st.status == "closed_complete" and st.solutions == ()
 
 
@@ -324,16 +324,14 @@ def test_analyze_prime_closure_route():
     # 5x^2 - 16 = 2^n has (2, 2) and (4, 6); 480 classes mod 27720 survive,
     # each an even one, and each holds at most the prime gcd(r, 27720)
     eq = RNEquation(5, -16)
-    assert analyze(eq).status == "open"
-    st = analyze(eq, primes_only=True)
+    st = analyze(eq)
     assert st.status == "closed_finite_n"
     assert st.solutions == (RNSolution(2, 2),)
-    closure = next(t for t in st.rule_trace if t["rule"] == "prime_class_closure")
-    closed = closure["closed_classes"]
-    assert len(closed) == 480 and closure["open_classes"] == []
-    assert {c["gcd"] for c in closed} == {2, 6, 18, 22, 66, 198}
-    assert all(c["gcd"] == gcd(c["residue"], 27720) for c in closed)
-    assert [c["residue"] for c in closed][:4] == [2, 6, 186, 206]
+    surviving = rn._set_bits(st.facts[1])
+    assert len(surviving) == 480 and surviving[:4] == [2, 6, 186, 206]
+    assert {gcd(r, 27720) for r in surviving} == {2, 6, 18, 22, 66, 198}
+    sieved = st.rule_trace[0]
+    assert (sieved["emptied_at"], sieved["open_classes"], st.open_mask) == (None, [], 0)
     # the prime 2 lies below valid_from = 6, so the finite checks test it
     # and no class lists it again
     finite = st.rule_trace[-1]
@@ -348,17 +346,17 @@ def test_prime_classes_from_valid_from_on_go_to_the_finite_checks():
     # is not below valid_from = 6, so the finite checks test it, and it is
     # the branch's one solution.
     eq = RNEquation(3, 125)
-    st = analyze(eq, 3, "odd", primes_only=True)
+    st = analyze(eq, 3)
     assert st.status == "closed_finite_n" and st.solutions == (RNSolution(1, 7),)
-    trace = {t["rule"]: t for t in st.rule_trace}
-    surviving = trace["sieve_combination"]["surviving_classes"]
+    sieved, finite = st.rule_trace
+    surviving = rn._set_bits(st.facts[1])
     assert len(surviving) == 10 and surviving[:3] == [7, 2527, 7567]
-    assert trace["prime_class_closure"]["closed_classes"] == [{"residue": r, "gcd": 7}
-                                                              for r in surviving]
-    assert trace["finite_checks"] == {"rule": "finite_checks", "n_values": [3, 5, 7],
-                                      "solutions": [[1, 7]]}
+    assert {gcd(r, 27720) for r in surviving} == {7}
+    assert (sieved["n_parity"], sieved["valid_from"]) == ("odd", 6)
+    assert (sieved["emptied_at"], sieved["open_classes"]) == (None, [])
+    assert finite == {"rule": "finite_checks", "n_values": [3, 5, 7], "solutions": [[1, 7]]}
     # past 7 the class holds no prime at all, and nothing is left to test
-    st = analyze(eq, 8, "odd", primes_only=True)
+    st = analyze(eq, 8)
     assert st.status == "closed_finite_n" and st.solutions == ()
     assert st.rule_trace[-1]["n_values"] == []
     # the primes a class can hold that way divide 27720; 7 and 11 reach valid_from
@@ -372,8 +370,7 @@ def test_analyze_sieve_closure_route():
     st = analyze(RNEquation(22, 6), n_min=3)
     assert st.status == "closed_finite_n"
     assert st.solutions == ()
-    combination = next(t for t in st.rule_trace if t["rule"] == "sieve_combination")
-    assert combination["surviving_classes"] == []
+    assert st.facts[1] == 0 and st.rule_trace[0]["emptied_at"] == 64
 
     # same equation without n_min picks up nothing below the threshold either
     st = analyze(RNEquation(22, 6))
@@ -384,7 +381,7 @@ def test_analyze_sieve_closure_route():
 def test_analyze_open_route():
     # the classic x^2 + 7 = 2^n: x odd gives x^2 + 7 = 0 mod 8, so the
     # n >= 3 class survives every power-of-two modulus
-    st = analyze(RNEquation(1, 7), n_max=100)
+    st = analyze(RNEquation(1, 7))
     assert st.status == "open"
     assert {(s.x, s.n) for s in st.solutions} == {(1, 3), (3, 4), (5, 5), (11, 7), (181, 15)}
     assert st.rule_trace[-1]["rule"] == "direct_search"
@@ -407,47 +404,54 @@ def _planted(seed, count, n_range):
 
 
 def _planted_high(count):
-    # solutions at n in 300..2000, for a search up to n_max = 2000
-    return _planted(63, count, lambda i: (300, 2001))
+    # solutions at prime n in 300..2000, spread over them, for a search up to n_max = 2000
+    primes = [n for n in range(300, 2001) if is_prime(n) == "prime"]
+
+    def at_prime(i):
+        n = primes[37 * i % len(primes)]
+        return n, n + 1
+
+    return _planted(63, count, at_prime)
 
 
-def _open_search_mismatches(equations, n_mins, parities, primes_only, n_maxes):
+def _open_search_mismatches(equations, n_mins):
     """(open branches, those with solutions, mismatching cases) of analyze's
-    bounded search against the full-range direct search, over every combination."""
+    bounded search against the full-range direct search, over every combination:
+    an open branch must find every solution, a closed one each of prime exponent."""
     open_branches = with_solutions = 0
     mismatches = []
     reference = {}
-    for eq, n_min, parity, primes in itertools.product(equations, n_mins, parities, primes_only):
-        for n_max in n_maxes(n_min):
-            st = analyze(eq, n_min, parity, n_max, primes_only=primes)
-            if st.status != "open":
-                continue
+    for eq, n_min in itertools.product(equations, n_mins):
+        st = analyze(eq, n_min)
+        parity, n_max = rn.n_constraints(n_min)
+        if (eq, n_max) not in reference:
+            reference[eq, n_max] = direct_search(eq, 0, n_max)
+        expected = tuple(s for s in reference[eq, n_max]
+                         if s.n >= n_min and (parity != "odd" or s.n % 2 == 1))
+        if st.status != "open":
+            ok = {s for s in expected if is_prime(s.n) == "prime"} <= set(st.solutions)
+        else:
             open_branches += 1
             with_solutions += bool(st.solutions)
-            if (eq, n_max) not in reference:
-                reference[eq, n_max] = direct_search(eq, 0, n_max)
-            expected = tuple(s for s in reference[eq, n_max]
-                             if s.n >= n_min and (parity != "odd" or s.n % 2 == 1))
             ok = (st.solutions == expected
                   and st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected])
-            if not ok:
-                mismatches.append((eq, n_min, parity, primes, n_max))
+        if not ok:
+            mismatches.append((eq, n_min))
     return open_branches, with_solutions, mismatches
 
 
 def test_analyze_open_search_matches_full_range_search():
     # an open branch tests only exponents below valid_from and in classes
-    # that survive every modulus; the full-range direct search is the
-    # reference.  Half the planted solutions have n <= 20, and a third
-    # set has n in 300..2000, searched up to n_max = 2000.
-    planted = _planted(61, 120, lambda i: (1, 21 if i % 2 else 151))
+    # that survive every modulus, up to n_max = 2000; the full-range direct
+    # search is the reference.  Half the planted solutions have n <= 20,
+    # and a third set has n in 300..2000.
+    planted = _planted(61, 360, lambda i: (1, 21 if i % 2 else 151))
     open_branches, with_solutions, mismatches = _open_search_mismatches(
-        random_equations(61, 80, d_max=60, c_max=500) + planted,
-        (0, 2, 7, 61), ("any", "odd"), (False, True), lambda n_min: (300, n_min + 4))
-    assert mismatches == [] and open_branches > 2000 and with_solutions > 800
+        random_equations(61, 240, d_max=60, c_max=500) + planted, (0, 2, 7, 61))
+    assert mismatches == [] and open_branches > 400 and with_solutions > 300
     open_branches, with_solutions, mismatches = _open_search_mismatches(
-        _planted_high(24), (0, 61), ("any", "odd"), (False, True), lambda n_min: (2000,))
-    assert mismatches == [] and open_branches > 100 and with_solutions > 100
+        _planted_high(120), (0, 61))
+    assert mismatches == [] and open_branches > 200 and with_solutions > 200
 
 
 def _fresh_caches(monkeypatch):
@@ -474,8 +478,7 @@ def test_open_search_check_catches_a_search_prime_losing_a_class(monkeypatch, q)
 
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(rn, "_sieve_classes", lossy)
-    _, _, mismatches = _open_search_mismatches(_planted_high(24), (0,), ("any",), (False,),
-                                               lambda n_min: (2000,))
+    _, _, mismatches = _open_search_mismatches(_planted_high(24), (0,))
     assert mismatches
 
 
@@ -506,18 +509,19 @@ def test_search_prime_classes_depend_on_the_square_class_of_d():
 
 def test_sieve_ands_the_period_60_moduli_by_their_closing_share():
     # the share of pairs (d mod m, c mod m) whose classes, lifted to period
-    # 60, hold no odd n: the sieve ANDs the six moduli it ANDs at period 60
-    # by that share, the one that closes the most branches alone first
+    # 60, hold no odd n: DEFAULT_MODULI lists the six moduli ANDed at period
+    # 60 by that share, the one that closes the most branches alone first,
+    # and the sieve ANDs every modulus in the listed order
     steps, _, start, _, _ = rn._sieve_plan()
     share = {}
     for m in DEFAULT_MODULI[:6]:
         lift = rn._tile(1, power_cycle(m)[1], 60)
         share[m] = sum(not rn._sieve_classes(m, d, c) * lift & start["odd"]
                        for d in range(m) for c in range(m)) / (m * m)
-    assert [step[:2] for step in steps[:6]] == [(m, 60) for m in
-                                               sorted(share, key=share.get, reverse=True)]
-    assert [round(100 * share[m]) for m, *_ in steps[:6]] == [87, 44, 20, 14, 9, 8]
-    assert [m for m, *_ in steps[6:]] == list(DEFAULT_MODULI[6:])
+    assert list(DEFAULT_MODULI[:6]) == sorted(share, key=share.get, reverse=True)
+    assert [step[:2] for step in steps[:6]] == [(m, 60) for m in DEFAULT_MODULI[:6]]
+    assert [round(100 * share[m]) for m in DEFAULT_MODULI[:6]] == [87, 44, 20, 14, 9, 8]
+    assert [m for m, *_ in steps] == list(DEFAULT_MODULI)
 
 
 def test_no_sieve_modulus_divides_another():
@@ -528,57 +532,61 @@ def test_no_sieve_modulus_divides_another():
 
 
 def test_analyze_validation():
-    with pytest.raises(ValueError):
-        analyze(RNEquation(5, 3), n_min=10, n_max=5)
-    # a negative n_min or an unknown parity is rejected before any rule runs,
-    # open branch or not
+    # a negative n_min is rejected before any rule runs, open branch or not
     for eq in (RNEquation(1, -5), RNEquation(5, 3)):
         with pytest.raises(ValueError, match="n_min"):
             analyze(eq, n_min=-2)
-        with pytest.raises(ValueError, match="n_parity"):
-            analyze(eq, n_parity="even")
-    # the moduli combine to period 27720, for odd n as for any
-    for parity in ("any", "odd"):
-        trace = analyze(RNEquation(1, -5), n_parity=parity).rule_trace
-        assert next(t for t in trace if t["rule"] == "sieve_combination")["combined_period"] == \
-            27720
+    # the parity and search bound follow from n_min, and the moduli combine
+    # to period 27720, for odd n as for any
+    assert [rn.n_constraints(n) for n in (0, 2, 3, 2000, 2003)] == [
+        ("any", 2000), ("any", 2000), ("odd", 2000), ("odd", 2000), ("odd", 2003)]
+    for n_min, parity in ((0, "any"), (3, "odd")):
+        sieved = analyze(RNEquation(1, -5), n_min).rule_trace[0]
+        assert (sieved["combined_period"], sieved["n_parity"]) == (27720, parity)
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
+    # at n_min = 0 the kept mask covers every n: each brute-force solution
+    # lies in a kept class or below valid_from, an open branch finds them
+    # all, and a closed one every solution whose exponent is prime
     for eq in random_equations(31, 200):
-        st = analyze(eq, n_max=25)
+        st = analyze(eq)
         brute = brute_rn_solutions(eq.d, eq.c, 25)
         found = {(s.x, s.n) for s in st.solutions}
-        if st.status in ("closed_complete", "closed_finite_n"):
-            assert found.issuperset(brute), (eq, st.status, brute)
+        if st.status == "open":
+            assert found.issuperset(brute), eq
         else:
-            assert found == set(brute), eq
+            assert found.issuperset((x, n) for x, n in brute if is_prime(n) == "prime"), eq
+        if st.status != "closed_complete":
+            assert all(n < st.rule_trace[0]["valid_from"] or st.facts[1] >> n % 27720 & 1
+                       for _, n in brute), (eq, brute)
 
 
 def test_analyze_prime_closure_never_misses_prime_exponents():
     # the prime-class closure is the sharpest rule; a closed branch must
     # still capture every brute-force solution whose exponent is prime
     for eq in random_equations(77, 300):
-        st = analyze(eq, n_min=2, primes_only=True, n_max=25)
+        st = analyze(eq, n_min=2)
         brute = [(x, n) for x, n in brute_rn_solutions(eq.d, eq.c, 25)
                  if n >= 2 and is_prime(n) == "prime"]
         found = {(s.x, s.n) for s in st.solutions}
-        if st.status in ("closed_complete", "closed_finite_n"):
-            assert found.issuperset(brute), (eq, st.status, brute)
-        else:
-            assert found.issuperset(brute), (eq, "open", brute)
+        assert found.issuperset(brute), (eq, st.status, brute)
 
 
-def _parent_intersection(sieve_entries, n_parity):
+def _parent_intersection(reports, n_parity):
     # reference for the combined classes: the residues of the right parity,
-    # lifted one modulus at a time and filtered by its classes
+    # lifted one modulus at a time and filtered by its classes, and the
+    # first modulus that left none
     period, surviving = 2, [r for r in range(2) if n_parity != "odd" or r % 2 == 1]
-    for t in sieve_entries:
-        lifted, classes = lcm(period, t["period"]), set(t["surviving_classes"])
+    emptied_at = None
+    for t in reports:
+        lifted, classes = lcm(period, t.period), set(t.surviving_classes)
         surviving = sorted(r for r0 in surviving for r in range(r0, lifted, period)
-                           if r % t["period"] in classes)
+                           if r % t.period in classes)
         period = lifted
-    return period, surviving
+        if not surviving and emptied_at is None:
+            emptied_at = t.modulus
+    return period, surviving, emptied_at
 
 
 def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
@@ -586,33 +594,36 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     shift = lcm(*DEFAULT_MODULI)
     # the random equations all close at the moduli; a planted solution with
     # n >= 6 keeps its class open
-    equations = [eq for eq in random_equations(83, 14, d_max=60, c_max=500)
-                 + _planted(83, 14, lambda i: (6, 200))
+    equations = [eq for eq in random_equations(83, 40, d_max=60, c_max=500)
+                 + _planted(83, 40, lambda i: (6, 200))
                  if BUILTIN_TABLE.get(eq) is None and adjacent_powers(eq) is None]
-    cases = list(itertools.product(equations, (0, 2, 7, 61), ("any", "odd")))
+    cases = list(itertools.product(equations, (0, 2, 7, 61)))
     # the same cases with c moved by a multiple of every modulus: same residues
-    shifted = [(RNEquation(eq.d, eq.c + shift), *rest) for eq, *rest in cases]
+    shifted = [(RNEquation(eq.d, eq.c + shift), n_min) for eq, n_min in cases]
 
     expected = {}
     # sieve() keeps nothing, so each reference sieves afresh
-    for eq, n_min, parity in cases + shifted:
-        entries = [sieve(eq, m, n_min, parity).to_dict() for m in DEFAULT_MODULI]
-        period, surviving = _parent_intersection(entries, parity)
-        entries.append({
-            "rule": "sieve_combination",
+    for eq, n_min in cases + shifted:
+        parity, _ = rn.n_constraints(n_min)
+        reports = [sieve(eq, m, n_min, parity) for m in DEFAULT_MODULI]
+        period, surviving, emptied_at = _parent_intersection(reports, parity)
+        open_classes = [r for r in surviving if gcd(r, period) == 1]
+        expected[eq, n_min] = sum(1 << r for r in surviving), {
+            "rule": "sieve",
             "moduli": list(DEFAULT_MODULI),
             "combined_period": period,
-            "valid_from": max([n_min] + [t["n_threshold"] for t in entries]),
-            "surviving_classes": surviving,
-        })
-        expected[eq, n_min, parity] = entries
-    assert sum(bool(entries[-1]["surviving_classes"]) for entries in expected.values()) > 100
+            "n_min": n_min,
+            "n_parity": parity,
+            "valid_from": max([n_min] + [t.n_threshold for t in reports]),
+            "emptied_at": emptied_at,
+            "open_classes": open_classes,
+        }
+    kept = [entry for mask, entry in expected.values() if mask]
+    assert len(kept) > 200 and sum(bool(entry["open_classes"]) for entry in kept) > 80
 
     def check(case):
-        eq, n_min, parity = case
-        trace = analyze(eq, n_min, parity).rule_trace
-        got = [t for t in trace if t["rule"] in ("sieve", "sieve_combination")]
-        assert got == expected[case], case
+        st = analyze(*case)
+        assert (st.facts[1], st.rule_trace[0]) == expected[case], case
 
     tables = _fresh_caches(monkeypatch)
     for case in cases:
@@ -626,49 +637,44 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     assert sum(map(len, held.values())) > 100
 
 
-def test_branch_closed_by_the_first_anded_modulus_renders_every_sieve(monkeypatch):
+def test_branch_closed_by_the_first_anded_modulus_is_emptied_at_64(monkeypatch):
     # 5x^2 + 5 = 5(x^2 + 1) is never 0 mod 64, and 2^n is from n = 6 on: the
     # first modulus analyze ANDs closes the branch, with one empty mask in
-    # its table, and the trace still carries all 14 "sieve" entries
+    # its table, and the one sieve entry names it; rendering it sieves nothing
     eq = RNEquation(5, 5)
     tables = _fresh_caches(monkeypatch)
     assert rn._sieve_plan()[0][0][:2] == (64, 60)
-    st = analyze(eq, 3, "odd")
-    assert st.status == "closed_finite_n" and st.rule_trace[-1]["n_values"] == [3, 5]
+    # later moduli alone would keep classes, so only the order names 64
+    assert any(sieve(eq, m, 3, "odd").surviving_classes for m in DEFAULT_MODULI[1:])
+    st = analyze(eq, 3)
+    monkeypatch.setattr(rn, "_sieve_classes", None)
+    sieved, finite = st.rule_trace
+    assert st.status == "closed_finite_n" and finite["n_values"] == [3, 5]
     assert {m: list(masks) for m, masks in tables.items() if masks} == {64: [5 * 64 + 5]}
     assert tables[64][5 * 64 + 5] == 0
-    entries = [t for t in st.rule_trace if t["rule"] == "sieve"]
-    assert entries == [sieve(eq, m, 3, "odd").to_dict() for m in DEFAULT_MODULI]
-    assert [t["modulus"] for t in entries] == list(DEFAULT_MODULI)
-    assert any(t["surviving_classes"] for t in entries)
+    assert (sieved["emptied_at"], sieved["valid_from"], sieved["open_classes"]) == (64, 6, [])
 
 
 def test_analyze_trace_shares_no_cached_lists():
     eq = RNEquation(1, 7)
     first = analyze(eq).rule_trace
     before = copy.deepcopy(first)
-    target = next(t for t in first if t["rule"] == "sieve" and t["surviving_classes"])
-    target["surviving_classes"].append(10**6)
-    target["equation"]["c"] = 8
-    combination = next(t for t in first if t["rule"] == "sieve_combination")
-    combination["surviving_classes"].append(10**6)
-    for got, want in zip(first, before):
-        if got is not target and got is not combination:
-            assert got == want
+    first[0]["open_classes"].append(10**6)
+    first[0]["moduli"].append(10**6)
+    first[-1]["solutions"].append([1, 10**6])
     assert analyze(eq).rule_trace == tuple(before)
     moved = analyze(RNEquation(1, 7 + lcm(*DEFAULT_MODULI))).rule_trace
-    classes = [t["surviving_classes"] for t in moved if "surviving_classes" in t]
-    assert classes == [t["surviving_classes"] for t in before if "surviving_classes" in t]
+    assert moved[0] == before[0] and moved[0]["open_classes"]
 
 
-def _sieve_misses(st, solutions, n_min, parity, primes_only):
+def _sieve_misses(st, solutions, n_min):
     """The solutions, from a direct search, that st's sieve lost.
 
     A solution must lie in a kept class mod the combined period or among
-    the exponents tested directly; with primes_only, a prime one must be
-    among st's solutions (up to st's bound when the branch is open).
+    the exponents tested directly, and a prime one must be among st's
+    solutions (up to st's bound when the branch is open).
     """
-    trace = {t["rule"]: t for t in st.rule_trace}
+    parity, n_max = rn.n_constraints(n_min)
     missed = []
     for s in solutions:
         if s.n < n_min or parity == "odd" and s.n % 2 == 0:
@@ -676,12 +682,11 @@ def _sieve_misses(st, solutions, n_min, parity, primes_only):
         if st.status == "closed_complete":
             kept = s in st.solutions
         else:
-            combo = trace["sieve_combination"]
-            tested = (trace["finite_checks"]["n_values"] if st.status == "closed_finite_n"
-                      else range(n_min, combo["valid_from"]))
-            kept = s.n in tested or s.n % combo["combined_period"] in combo["surviving_classes"]
-        if primes_only and is_prime(s.n) == "prime" and (
-                st.status != "open" or s.n <= st.facts[4]):
+            sieved, last = st.rule_trace
+            tested = (last["n_values"] if st.status == "closed_finite_n"
+                      else range(n_min, sieved["valid_from"]))
+            kept = s.n in tested or st.facts[1] >> s.n % sieved["combined_period"] & 1
+        if is_prime(s.n) == "prime" and (st.status != "open" or s.n <= n_max):
             kept &= s in st.solutions
         if not kept:
             missed.append(s)
@@ -699,11 +704,10 @@ def test_sieve_never_misses_a_solution_of_a_decide_branch():
         if delta % 4 != 3:
             continue
         p_min = _min_exponent(delta)
-        parity = "odd" if p_min > 2 else "any"
         for _, d, c in generate_branches(b).surviving:
             eq = RNEquation(d, c, known_squarefree=True)
-            st = analyze(eq, p_min, parity, max(rn.DEFAULT_N_MAX, p_min), primes_only=True)
-            misses = _sieve_misses(st, direct_search(eq, p_min, 3000), p_min, parity, True)
+            st = analyze(eq, p_min)
+            misses = _sieve_misses(st, direct_search(eq, p_min, 3000), p_min)
             assert misses == [], (b, d, c)
             branches += 1
     assert branches > 500
@@ -718,8 +722,6 @@ def test_sieve_never_misses_a_solution_of_a_random_equation():
     for eq in equations:
         solutions = direct_search(eq, 0, 3000)
         with_solutions += bool(solutions)
-        for n_min, parity, primes in itertools.product((0, 3, 7), ("any", "odd"), (False, True)):
-            st = analyze(eq, n_min, parity, primes_only=primes)
-            assert _sieve_misses(st, solutions, n_min, parity, primes) == [], \
-                (eq, n_min, parity, primes)
+        for n_min in (0, 2, 3, 7):
+            assert _sieve_misses(analyze(eq, n_min), solutions, n_min) == [], (eq, n_min)
     assert with_solutions > 60
