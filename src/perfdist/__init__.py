@@ -1,9 +1,9 @@
 """perfdist: can a given odd integer be the distance between two perfect numbers?
 
 The decision procedure reduces the question for triangular delta = 3 mod 4
-to finitely many equations d*x**2 + c = 2**n, closes each by one of two
-fixed cited closures, an exact adjacent-powers rule, or modular sieving,
-and verifies whatever exponents survive against actual perfect numbers.
+to finitely many equations d*x**2 + c = 2**n, closes each by one fixed
+cited closure or by modular sieving, and verifies whatever exponents
+survive against actual perfect numbers.
 Every verdict ships with re-checkable certificates.
 """
 
@@ -40,7 +40,6 @@ from .rn import (
     RNSolution,
     SieveReport,
     TableEntry,
-    adjacent_powers,
     analyze,
     direct_search,
     sieve,

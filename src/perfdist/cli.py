@@ -240,10 +240,13 @@ def cmd_scan(args) -> int:
     # the sorted copy replaces the file only once it is whole
     deltas = sorted(records.keys() | new.keys())
     tmp = args.out + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for delta in deltas:
-            fh.write(new[delta] if delta in new else canonical_json(records[delta]) + "\n")
-    os.replace(tmp, args.out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for delta in deltas:
+                fh.write(new[delta] if delta in new else canonical_json(records[delta]) + "\n")
+        os.replace(tmp, args.out)
+    except OSError as exc:  # the appended records stay, so a rerun resumes from them
+        raise _UsageError(f"cannot write {tmp}: {exc}")
     return EXIT_OK
 
 

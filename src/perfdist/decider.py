@@ -68,7 +68,7 @@ def config(budget: int) -> dict:
     """Everything decide() depends on besides delta: the Brent-rho `budget`
     and the fixed constants of the method (sieve moduli, search bound,
     trial-division bound, Miller-Rabin rounds, exponent cap, odd-perfect
-    bound and the two cited rows of rn.BUILTIN_TABLE).  The fingerprint
+    bound and the one cited row of rn.BUILTIN_TABLE).  The fingerprint
     hashes it, so changing any one of them invalidates older scan records.
     """
     return {

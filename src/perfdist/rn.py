@@ -1,14 +1,13 @@
 """Analysis of equations d*x**2 + c = 2**n in unknowns x >= 1, n >= 0.
 
-Three closure mechanisms, applied in order: a fixed completeness table of
-two cited equations (BUILTIN_TABLE, hashed into every fingerprint), an exact
-rule for the x**2 +- 1 = 2**m patterns, and one modular sieve: the classes
-of n mod 27720 that every modulus of DEFAULT_MODULI keeps, of which a
-prime n can lie only in those prime to 27720.  Whatever survives is
-reported open, with a bounded search over the surviving classes, which
-finds every solution up to the bound as each sieve is sound.  analyze
-records only facts, from which the rule trace, one certificate per rule,
-is rendered.
+Two closure mechanisms, applied in order: a fixed completeness table of one
+cited equation (BUILTIN_TABLE, hashed into every fingerprint), and one
+modular sieve: the classes of n mod 27720 that every modulus of
+DEFAULT_MODULI keeps, of which a prime n can lie only in those prime to
+27720.  Whatever survives is reported open, with a bounded search over the
+surviving classes, which finds every solution up to the bound as each
+sieve is sound.  analyze records only facts, from which the rule trace,
+one certificate per rule, is rendered.
 The sieve's tables, and its memo of class masks by modulus, are built on
 first use, not at import, and factor nothing.
 """
@@ -93,22 +92,6 @@ def direct_search(eq: RNEquation, n_min: int, n_max: int) -> list[RNSolution]:
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     return _solutions_at(eq, range(max(n_min, 0), n_max + 1))
-
-
-def adjacent_powers(eq: RNEquation) -> list[RNSolution] | None:
-    """Complete solution set when the equation reduces to x**2 +- 1 = 2**m.
-
-    Applies exactly when d = 2**v and |c| = 2**v (v in {0, 1}, d squarefree).
-    x**2 + 1 = 2**m: an odd x forces 2**m == 2 mod 4, so (1, 1) only.
-    x**2 - 1 = 2**m: (x-1)(x+1) are powers of two differing by 2, so (3, 3) only.
-    Returns None when the pattern does not apply.
-    """
-    v = v2(eq.d)
-    if eq.d != 1 << v or abs(eq.c) != 1 << v:
-        return None
-    if eq.c > 0:
-        return [RNSolution(1, 1 + v)]
-    return [RNSolution(3, 3 + v)]
 
 
 class SieveReport(NamedTuple):
@@ -238,15 +221,12 @@ class TableEntry(NamedTuple):
         }
 
 
-# The two cited closures the paper needs (delta = 3 and 15), by (d, c): fixed
-# and hashed into every config fingerprint; the tests replay each by substitution.
+# The one cited closure the paper needs (delta = 3), by (d, c): fixed, hashed into
+# every config fingerprint, and the only row the tests' certificate checker accepts.
 BUILTIN_TABLE = {(e.d, e.c): e for e in (
     TableEntry(5, 3, (RNSolution(1, 3), RNSolution(5, 7)),
                "Ramanujan-Nagell literature: 5x^2 + 3 = 2^n has exactly (x,n) = (1,3), (5,7) "
                "in positive integers"),
-    TableEntry(2, 6, (RNSolution(1, 3),),
-               "elementary 2-adic descent: 2x^2 + 6 = 2^n forces x^2 + 3 = 2^(n-1), and "
-               "x^2 + 3 = 2^m has only (x,m) = (1,2) since x^2 = -3 mod 8 is impossible"),
 )}
 
 
@@ -267,11 +247,11 @@ class BranchStatus(NamedTuple):
 
     `rule` names the last rule applied and `facts` what `rule_trace` renders
     its certificates from on each read: the TableEntry for "completeness_table",
-    () for "adjacent_powers", else (n_min, mask, emptied_at, open_mask).  Bit r
-    of mask is set iff class r of the combined period survived every modulus,
-    for every n when n_min <= 2 and odd n otherwise; emptied_at is the modulus
-    whose AND left it empty, else None; open_mask keeps its classes prime to
-    the period, 0 unless the branch is open.
+    else (n_min, mask, emptied_at, open_mask).  Bit r of mask is set iff class
+    r of the combined period survived every modulus, for every n when
+    n_min <= 2 and odd n otherwise; emptied_at is the modulus whose AND left
+    it empty, else None; open_mask keeps its classes prime to the period, 0
+    unless the branch is open.
     """
 
     equation: RNEquation
@@ -290,14 +270,10 @@ class BranchStatus(NamedTuple):
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
-        eq, kept = self.equation, [s.as_pair() for s in self.solutions]
+        kept = [s.as_pair() for s in self.solutions]
         if self.rule == "completeness_table":
             return ({"rule": self.rule, "source": self.facts.source, "kept": kept,
                      "complete_solutions": [s.as_pair() for s in sorted(self.facts.solutions)]},)
-        if self.rule == "adjacent_powers":
-            return ({"rule": self.rule, "pattern": f"x^2 {'+' if eq.c > 0 else '-'} 1 = 2^m",
-                     "power_shift": v2(eq.d), "kept": kept,
-                     "complete_solutions": [s.as_pair() for s in adjacent_powers(eq)]},)
         n_min, mask, emptied_at, open_mask = self.facts
         n_parity, n_max = n_constraints(n_min)
         steps, threshold, _, _, _ = _sieve_plan()
@@ -379,7 +355,7 @@ def _finite_checks(n_min: int, n_parity: str, mask: int) -> list[int]:
 def analyze(eq: RNEquation, n_min: int = 0) -> BranchStatus:
     """Run the closure pipeline on one equation, for prime n >= n_min.
 
-    Order: BUILTIN_TABLE, adjacent-powers rule, then the sieve: the
+    Order: BUILTIN_TABLE, then the sieve: the
     memoized class masks of DEFAULT_MODULI are ANDed in order until one
     leaves nothing, which closes the branch up to finitely many small
     exponents, each tested.  A class r mod 27720 with g = gcd(r, 27720) > 1
@@ -397,10 +373,6 @@ def analyze(eq: RNEquation, n_min: int = 0) -> BranchStatus:
     if entry is not None:
         return BranchStatus(eq, "closed_complete", _in_range(entry.solutions, n_min, n_parity),
                             "completeness_table", entry)
-    exact = adjacent_powers(eq) if eq.d <= 2 else None  # it needs d = |c| in {1, 2}
-    if exact is not None:
-        return BranchStatus(eq, "closed_complete", _in_range(exact, n_min, n_parity),
-                            "adjacent_powers")
 
     steps, threshold, start, units, _ = _sieve_plan()
     (d, c), mask = eq, start[n_parity]

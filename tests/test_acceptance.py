@@ -14,7 +14,7 @@ import numpy as np
 from perfdist.arith import factorize, is_perfect, is_prime, sigma
 from perfdist.cli import main
 from perfdist.mersenne import lucas_lehmer
-from perfdist.rn import RNEquation, adjacent_powers, direct_search, sieve
+from perfdist.rn import RNEquation, analyze, direct_search, sieve
 
 from conftest import acceptance_results
 from oracles import brute_rn_solutions_fast, sigma_table, trial_division_is_prime
@@ -57,9 +57,8 @@ def test_criterion_1_decide_3(capsys):
     ok &= by_p[3]["n_candidate"] == 25 and by_p[3]["perfect_status"] == "not_perfect"
     ok &= by_p[7]["n_candidate"] == 8125 and by_p[7]["perfect_status"] == "not_perfect"
 
-    ok &= branches[("A", 2)]["status"] == "closed_complete"
-    ok &= branches[("A", 2)]["rule_trace"][0]["rule"] == "adjacent_powers"
-    for key in (("B", 1), ("A", 10)):
+    ok &= branches[("A", 2)]["solutions"] == [[3, 4]]
+    for key in (("A", 2), ("B", 1), ("A", 10)):
         rules = [t["rule"] for t in branches[key]["rule_trace"]]
         ok &= branches[key]["status"] == "closed_finite_n"
         ok &= "sieve" in rules and "finite_checks" in rules
@@ -82,10 +81,11 @@ def test_criterion_2_decide_15(capsys):
         ok &= branches[key]["status"] == "closed_finite_n"
         ok &= branches[key]["solutions"] == []
 
-    b2 = branches[("B", 2)]
-    ok &= b2["status"] == "closed_complete"
-    ok &= b2["rule_trace"][0]["rule"] == "completeness_table"
-    ok &= b2["solutions"] == [[1, 3]]
+    # 2x^2 + 6 is 6 mod 8 for an even x and 8 mod 16 for an odd one: n = 3 or nothing
+    sieved = [t for t in branches[("B", 2)]["rule_trace"] if t["rule"] == "sieve"]
+    ok &= len(sieved) == 1 and sieved[0]["emptied_at"] == 64
+    ok &= branches[("B", 2)]["status"] == "closed_finite_n"
+    ok &= branches[("B", 2)]["solutions"] == [[1, 3]]
 
     ok &= [c["p"] for c in rep["candidates"]] == [3]
     ok &= rep["candidates"][0]["n_candidate"] == 13
@@ -195,6 +195,7 @@ def test_criterion_6d_sieve_soundness_and_search_equivalence():
 
 
 def test_criterion_6e_adjacent_powers_exhaustive():
+    # the sieve's solutions of x^2 +- 1 = 2^m, from n_min = 0, against a scan of x and m
     t0 = time.perf_counter()
     xs = np.arange(1, 1_000_001, dtype=np.int64)
     found_plus = set()
@@ -211,8 +212,8 @@ def test_criterion_6e_adjacent_powers_exhaustive():
             r = isqrt(t) if t >= 0 else -1
             if r >= 1 and r * r == t:
                 bucket.add((r, m))
-    plus = {(s.x, s.n) for s in adjacent_powers(RNEquation(1, 1))}
-    minus = {(s.x, s.n) for s in adjacent_powers(RNEquation(1, -1))}
+    plus = {(s.x, s.n) for s in analyze(RNEquation(1, 1), 0).solutions}
+    minus = {(s.x, s.n) for s in analyze(RNEquation(1, -1), 0).solutions}
     ok = found_plus == plus == {(1, 1)}
     ok &= found_minus == minus == {(3, 3)}
     _verdict(6, ok, f"6e x<=1e6 m<=60, {time.perf_counter() - t0:.1f}s")

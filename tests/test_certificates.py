@@ -20,6 +20,10 @@ MODULI = [64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 # b = 2^55 + 3, and b = 2^p - 2x^2 with 2b - 1 prime, which forces the candidate exponent p
 LARGE_B = [(1 << 55) + 3] + [(1 << p) - 2 * x * x
                              for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
+# the one cited closure: (d, c) = (5, 3), its complete solutions and its citation
+CITED_ROW = (5, 3, [[1, 3], [5, 7]],
+             "Ramanujan-Nagell literature: 5x^2 + 3 = 2^n has exactly (x,n) = (1,3), (5,7) "
+             "in positive integers")
 
 
 # --- naive primitives, deliberately independent of the package ------------
@@ -100,21 +104,15 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         assert s[1] >= p_min and parity_ok(s[1], parity)
 
     if branch["status"] == "closed_complete":
+        # only the cited row closes a branch without a sieve certificate
         head = trace[0]
-        assert head["rule"] in ("completeness_table", "adjacent_powers")
+        assert rules == ["completeness_table"]
+        assert (d, c, head["complete_solutions"], head["source"]) == CITED_ROW
         for s in head["complete_solutions"]:
             assert exact_solution(d, c, s[1]) == s
         kept = [s for s in head["complete_solutions"]
                 if s[1] >= p_min and parity_ok(s[1], parity)]
-        assert branch["solutions"] == kept
-        if head["rule"] == "adjacent_powers":
-            v = head["power_shift"]
-            assert d == 1 << v and abs(c) == 1 << v
-            # bounded completeness scan for the claimed exact rule
-            for x in range(1, 100_001):
-                t = d * x * x + c
-                if t >= 1 and t & (t - 1) == 0:
-                    assert [x, t.bit_length() - 1] in head["complete_solutions"]
+        assert branch["solutions"] == head["kept"] == kept
         return
 
     cert = trace[0]
@@ -344,20 +342,27 @@ def _altered(branch: dict) -> list[dict]:
     return out
 
 
+def _branch(report: dict, side: str, d: int) -> dict:
+    return next(br for br in report["branches"] if (br["side"], br["d"]) == (side, d))
+
+
 def test_checker_rejects_each_altered_sieve_certificate():
-    # a branch emptied at 64, one closed by the prime classes alone, and an
-    # open one: the checker accepts each as rendered and no altered copy
-    report_15, report_55 = (json.loads(decide(delta).to_json()) for delta in (15, 55))
-    emptied = next(br for br in report_15["branches"] if (br["side"], br["d"]) == ("A", 1))
+    # branches emptied at 64, one whose kept classes all share a factor with
+    # 27720, one closed by the prime classes alone, and an open one: the
+    # checker accepts each as rendered and no altered copy
+    report_3, report_15, report_55 = (json.loads(decide(delta).to_json())
+                                      for delta in (3, 15, 55))
     opened = next(br for br in report_55["branches"] if br["status"] == "open")
     # 3x^2 + 125 = 2^n: every class left for odd n >= 3 is a multiple of 7
     st = analyze(RNEquation(3, 125), 3)
     by_primes = json.loads(json.dumps({
         "side": "A", "d": 3, "c": 125, "status": st.status,
         "solutions": [s.as_pair() for s in st.solutions], "rule_trace": list(st.rule_trace)}))
-    cases = [(emptied, report_15), (by_primes, None), (opened, report_55)]
-    assert [br["rule_trace"][0]["emptied_at"] for br, _ in cases] == [64, None, None]
-    assert [br["status"] for br, _ in cases] == ["closed_finite_n", "closed_finite_n", "open"]
+    cases = [(_branch(report_15, "A", 1), report_15), (_branch(report_15, "B", 2), report_15),
+             (_branch(report_3, "A", 2), report_3), (by_primes, None), (opened, report_55)]
+    assert [br["rule_trace"][0]["emptied_at"] for br, _ in cases] == [64, 64, None, None, None]
+    assert [br["status"] for br, _ in cases] == ["closed_finite_n"] * 4 + ["open"]
+    assert [br["solutions"] for br, _ in cases[1:3]] == [[[1, 3]], [[3, 4]]]
     assert by_primes["rule_trace"][-1]["n_values"] == [3, 5, 7]
     for branch, report in cases:
         p_min, parity = check_exponent_floor(report) if report else (3, "odd")
@@ -375,6 +380,40 @@ def test_checker_rejects_each_altered_sieve_certificate():
                 bad_report["branches"] = [bad if br == branch else br for br in report["branches"]]
                 with pytest.raises(AssertionError):
                     check_report(bad_report)
+
+
+def test_the_cited_row_is_the_only_completeness_table_entry():
+    # every branch of delta = 15 is a sieve certificate; delta = 3 cites the row once
+    report_3, report_15 = (json.loads(decide(delta).to_json()) for delta in (3, 15))
+    cited = {delta: [(br["side"], br["d"]) for br in report["branches"]
+                     if br["rule_trace"][0]["rule"] == "completeness_table"]
+             for delta, report in ((3, report_3), (15, report_15))}
+    assert cited == {3: [("B", 5)], 15: []}
+
+
+def test_checker_accepts_only_the_cited_row():
+    # entries that pass substitution and agree with their branch are still
+    # rejected unless they are the cited row: one with another source, one
+    # that drops (5, 7), and one for 2x^2 + 6 = 2^n in delta = 15's report
+    report_3, report_15 = (json.loads(decide(delta).to_json()) for delta in (3, 15))
+    row = _branch(report_3, "B", 5)
+    check_branch(row, 2, "any")
+    other_source, dropped = copy.deepcopy(row), copy.deepcopy(row)
+    other_source["rule_trace"][0]["source"] = "a proof"
+    dropped["solutions"] = [[1, 3]]
+    dropped["rule_trace"][0].update(kept=[[1, 3]], complete_solutions=[[1, 3]])
+    b2 = _branch(report_15, "B", 2)
+    cited = {**b2, "status": "closed_complete", "rule_trace": [{
+        "rule": "completeness_table", "kept": [[1, 3]], "complete_solutions": [[1, 3]],
+        "source": "elementary 2-adic descent: 2x^2 + 6 = 2^n has only (x,n) = (1,3)"}]}
+    for bad, p_min, parity in ((other_source, 2, "any"), (dropped, 2, "any"), (cited, 3, "odd")):
+        with pytest.raises(AssertionError):
+            check_branch(bad, p_min, parity)
+    for bad, report, branch in ((other_source, report_3, row), (cited, report_15, b2)):
+        bad_report = copy.deepcopy(report)
+        bad_report["branches"] = [bad if br == branch else br for br in report["branches"]]
+        with pytest.raises(AssertionError):
+            check_report(bad_report)
 
 
 def test_certificates_replay_for_blocked_and_inconclusive():

@@ -450,6 +450,26 @@ def test_scan_final_rewrite_keeps_records_if_interrupted(tmp_path, capsys, monke
     assert [r["delta"] for r in _records_without_timing(out_file)] == [3, 15, 55]
 
 
+def test_scan_final_rewrite_that_cannot_open_its_side_file_exits_1(tmp_path, capsys):
+    # OUT.tmp is a directory: the rewrite fails after every record was appended
+    (tmp_path / "s.jsonl.tmp").mkdir()
+    argv = ["scan", "--b-from", "3", "--b-to", "6", "--out", "s.jsonl"]
+    src = os.path.dirname(os.path.dirname(rn.__file__))
+    proc = subprocess.run([sys.executable, "-m", "perfdist", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "error: cannot write s.jsonl.tmp" in proc.stderr and "Traceback" not in proc.stderr
+    appended = _records_without_timing(tmp_path / "s.jsonl")
+    assert [r["delta"] for r in appended] == [3, 15]
+
+    # the rerun resumes from the appended records and computes none again
+    (tmp_path / "s.jsonl.tmp").rmdir()
+    code, _, err = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "6",
+                           "--out", str(tmp_path / "s.jsonl"))
+    assert code == 0 and "delta=" not in err
+    assert _records_without_timing(tmp_path / "s.jsonl") == appended
+
+
 def test_scan_bad_arguments(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", "--b-from", "6", "--b-to", "3",
                            "--out", str(tmp_path / "x.jsonl"))

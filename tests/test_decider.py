@@ -196,8 +196,13 @@ def test_decide_3():
     assert rep.certificates["odd_perfect_bound"]["log10_bound"] == ODD_PERFECT_LOG10_BOUND
     by_key = {(br.side, br.d): br for br in rep.branches}
     assert set(by_key) == {("A", 2), ("A", 10), ("B", 1), ("B", 5)}
-    assert by_key[("A", 2)].status.status == "closed_complete"
-    assert by_key[("A", 2)].status.rule_trace[0]["rule"] == "adjacent_powers"
+    # 2x^2 - 2 = 2^n: every class the sieve keeps shares a factor with 27720
+    a2 = by_key[("A", 2)].status
+    assert a2.status == "closed_finite_n"
+    assert [t["rule"] for t in a2.rule_trace] == ["sieve", "finite_checks"]
+    assert a2.rule_trace[0]["emptied_at"] is None and a2.rule_trace[0]["open_classes"] == []
+    assert a2.rule_trace[1]["n_values"] == [2, 3, 4, 5]
+    assert [s.as_pair() for s in a2.solutions] == [[3, 4]]
     assert by_key[("B", 5)].status.rule_trace[0]["rule"] == "completeness_table"
     assert [s.as_pair() for s in by_key[("B", 5)].status.solutions] == [[1, 3], [5, 7]]
     assert by_key[("A", 10)].status.status == "closed_finite_n"
@@ -214,7 +219,11 @@ def test_decide_15():
         ("A", 1), ("A", 11), ("B", 2), ("B", 22),
     ]
     by_key = {(br.side, br.d): br for br in rep.branches}
-    assert by_key[("B", 2)].status.status == "closed_complete"
+    # every branch is a sieve certificate: 2x^2 + 6 = 2^n too is emptied at 64
+    for br in rep.branches:
+        assert br.status.status == "closed_finite_n"
+        assert br.status.rule_trace[0]["emptied_at"] == 64
+        assert br.status.rule_trace[1]["n_values"] == [3, 5]
     assert [s.as_pair() for s in by_key[("B", 2)].status.solutions] == [[1, 3]]
     assert [c.p for c in rep.candidates] == [3]
     assert rep.candidates[0].n_candidate == 13
@@ -307,7 +316,7 @@ def test_decide_rejects_a_factor_budget_below_1():
 
 def test_config_fingerprint_tracks_content():
     # scan records made under this fingerprint are reused on resume
-    assert fingerprint(DEFAULT_BUDGET) == "e33c41dfbff69ca7"
+    assert fingerprint(DEFAULT_BUDGET) == "4a1e98322531e678"
     # the odd-perfect bound is a hashed constant, not a setting
     assert config(DEFAULT_BUDGET)["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
     assert fingerprint(999) != fingerprint(DEFAULT_BUDGET)
@@ -328,7 +337,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "ff263e08963708cce5b991cdcccd9d66b7707e8b3bf62da193ea36c9b81879a3"
+        "37d41148b98cf513ced08c9b748318b6860a1c48a32a88428a1d706cae059645"
 
 
 def test_min_exponent_is_the_least_prime_past_delta():
@@ -362,11 +371,11 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "6406271dddb3223fda57c6a38c8d0bb171ded7194a55fe54a05870b81892a317"
+        "c2731eacc8f76770e85025a757cc6b161a4090cf67f4bb2088271907395fa5bb"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "1dc6f9a63a68ea918a3739cb80c5b721c85dc9d8a542a0d17dd56f74859d752d"
+        "8b6f808d8399a5bbf843511ac10f26308fff700a0f8c3862951c05820e331b68"
 
 
 def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):

@@ -16,7 +16,6 @@ from perfdist.rn import (
     RNEquation,
     RNSolution,
     SieveReport,
-    adjacent_powers,
     analyze,
     direct_search,
     power_cycle,
@@ -97,29 +96,6 @@ def test_solution_at():
         eq = RNEquation(d, (1 << n) - d * (x * x + rng.randrange(1, 5000)))
         for m in (n, n - 1, n + 1, rng.randrange(0, 2001)):
             assert solution_at(eq, m) == reference(eq, m), (eq, m)
-
-
-def test_adjacent_powers_patterns():
-    assert adjacent_powers(RNEquation(2, -2)) == [RNSolution(3, 4)]
-    assert adjacent_powers(RNEquation(1, 1)) == [RNSolution(1, 1)]
-    assert adjacent_powers(RNEquation(1, -1)) == [RNSolution(3, 3)]
-    assert adjacent_powers(RNEquation(2, 2)) == [RNSolution(1, 2)]
-    assert adjacent_powers(RNEquation(5, 3)) is None
-    assert adjacent_powers(RNEquation(3, 3)) is None
-    assert adjacent_powers(RNEquation(2, -6)) is None
-
-
-def test_adjacent_powers_sets_are_complete_small_scan():
-    plus = {(x, m) for x in range(1, 2001) for m in range(26)
-            if x * x + 1 == 1 << m}
-    minus = {(x, m) for x in range(1, 2001) for m in range(26)
-             if x * x - 1 == 1 << m}
-    assert plus == {(1, 1)}
-    assert minus == {(3, 3)}
-    # and the returned sets verify against their equations
-    for d, c in ((1, 1), (1, -1), (2, 2), (2, -2)):
-        for s in adjacent_powers(RNEquation(d, c)):
-            assert d * s.x * s.x + c == 1 << s.n
 
 
 def test_power_cycle_matches_iteration():
@@ -265,9 +241,8 @@ def test_sieve_tables_match_per_class_powers():
 
 
 def test_builtin_table():
-    assert list(BUILTIN_TABLE) == [(5, 3), (2, 6)]
+    assert list(BUILTIN_TABLE) == [(5, 3)]
     assert BUILTIN_TABLE[5, 3].solutions == (RNSolution(1, 3), RNSolution(5, 7))
-    assert BUILTIN_TABLE[2, 6].solutions == (RNSolution(1, 3),)
     assert BUILTIN_TABLE.get((2, -2)) is None
     for (d, c), entry in BUILTIN_TABLE.items():
         assert (entry.d, entry.c) == (d, c) and entry.source
@@ -310,14 +285,42 @@ def test_analyze_table_route():
     assert st.rule_trace[0]["rule"] == "completeness_table"
 
 
+# x^2 +- 1 = 2^m and 2x^2 +- 2 = 2^n each have one solution; the sieve
+# closes every shape, and its finite checks find the solution whenever
+# n_min and the parity admit it
+ADJACENT_SHAPES = {(1, 1): RNSolution(1, 1), (1, -1): RNSolution(3, 3),
+                   (2, 2): RNSolution(1, 2), (2, -2): RNSolution(3, 4)}
+
+
+def test_adjacent_powers_patterns():
+    for (d, c), solution in ADJACENT_SHAPES.items():
+        st = analyze(RNEquation(d, c))
+        assert st.status == "closed_finite_n", (d, c)
+        assert st.solutions == (solution,), (d, c)
+
+
+def test_adjacent_powers_sets_are_complete_small_scan():
+    plus = {(x, m) for x in range(1, 2001) for m in range(26)
+            if x * x + 1 == 1 << m}
+    minus = {(x, m) for x in range(1, 2001) for m in range(26)
+             if x * x - 1 == 1 << m}
+    assert plus == {(1, 1)}
+    assert minus == {(3, 3)}
+    # no search up to n = 60 adds to the one solution of each shape
+    for (d, c), solution in ADJACENT_SHAPES.items():
+        assert direct_search(RNEquation(d, c), 0, 60) == [solution]
+        assert d * solution.x * solution.x + c == 1 << solution.n
+
+
 def test_analyze_adjacent_route():
-    st = analyze(RNEquation(2, -2))
-    assert st.status == "closed_complete"
-    assert st.solutions == (RNSolution(3, 4),)
-    assert st.rule_trace[0]["rule"] == "adjacent_powers"
-    # from n_min = 3 on a prime n is odd: the even-exponent solution is out of scope
-    st = analyze(RNEquation(2, -2), 3)
-    assert st.status == "closed_complete" and st.solutions == ()
+    # from n_min = 3 on a prime n is odd: only x^2 - 1 = 2^3 stays in scope
+    for n_min, kept in ((0, set(ADJACENT_SHAPES)), (2, {(1, -1), (2, 2), (2, -2)}),
+                        (3, {(1, -1)})):
+        for (d, c), solution in ADJACENT_SHAPES.items():
+            st = analyze(RNEquation(d, c), n_min)
+            assert st.status == "closed_finite_n", (d, c, n_min)
+            assert [t["rule"] for t in st.rule_trace] == ["sieve", "finite_checks"]
+            assert st.solutions == ((solution,) if (d, c) in kept else ()), (d, c, n_min)
 
 
 def test_analyze_prime_closure_route():
@@ -596,7 +599,7 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     # n >= 6 keeps its class open
     equations = [eq for eq in random_equations(83, 40, d_max=60, c_max=500)
                  + _planted(83, 40, lambda i: (6, 200))
-                 if BUILTIN_TABLE.get(eq) is None and adjacent_powers(eq) is None]
+                 if BUILTIN_TABLE.get(eq) is None]
     cases = list(itertools.product(equations, (0, 2, 7, 61)))
     # the same cases with c moved by a multiple of every modulus: same residues
     shifted = [(RNEquation(eq.d, eq.c + shift), n_min) for eq, n_min in cases]
