@@ -37,7 +37,6 @@ from .rn import (
     RNEquation,
     analyze,
     n_constraints,
-    solution_at,
 )
 
 
@@ -133,25 +132,21 @@ class BranchGeneration(NamedTuple):
     """Surviving branches plus the facts behind every pruned (side, d) pair.
 
     `surviving` holds (side, d, c) per surviving pair and `pruning` holds
-    (side, d, c, v, checks) per pruned pair: v is the side value's 2-adic
-    valuation for p > v, and checks pairs each prime p <= v with its
-    solution or None.  `pruned` renders the pruning facts on each read.
+    (side, d, c, v) per pruned pair, where v is the side value's 2-adic
+    valuation for p > v.  `pruned` renders the pruning facts on each read.
     """
 
     surviving: tuple[tuple, ...]
     pruning: tuple[tuple, ...]
-    forced_candidate_primes: tuple[int, ...]
 
     @property
     def pruned(self) -> tuple[dict, ...]:
         # the side value is 2**p - c: 2**p + (b - 1) on A, 2**p - b on B
         return tuple({
-            "side": side, "d": d, "c": c, "side_value_v2": v, "valid_for_exponents_above": v,
+            "side": side, "d": d, "c": c, "side_value_v2": v,
             "reason": (f"v2(2^p {'+' if side == 'A' else '-'} {abs(c)}) = {v} for p > {v}, "
                        f"while v2(d*x^2) = {v2(d)} mod 2 != {v} mod 2"),
-            "small_prime_checks": [{"p": p, "solution": s.as_pair() if s else None}
-                                   for p, s in checks],
-        } for side, d, c, v, checks in self.pruning)
+        } for side, d, c, v in self.pruning)
 
 
 def generate_branches(b: int, budget: int = DEFAULT_BUDGET) -> BranchGeneration:
@@ -159,37 +154,28 @@ def generate_branches(b: int, budget: int = DEFAULT_BUDGET) -> BranchGeneration:
 
     Side A's value 2**p - 1 + b and side B's 2**p - b have a fixed 2-adic
     valuation v once p exceeds v, so v2(d) must match v mod 2 (x**2
-    contributes an even valuation); primes p <= v escape the argument and
-    are checked directly, with any hit recorded as a forced candidate.
+    contributes an even valuation).  No exponent p <= v needs a check:
+    2**v divides b - 1 or b, so 2**p <= b and 2**(p-1)*(2**p - 1) <=
+    b*(b-1)/2 = delta, which puts p below decide's exponent floor.
     """
     if b < 3:
         raise ValueError("triangular index must be >= 3")
     divisors = squarefree_divisors(2 * (2 * b - 1), budget)
     surviving = []
     pruning = []
-    forced = set()
     for side in ("A", "B"):
         c = 1 - b if side == "A" else b
         # side value is 2**p + (b - 1) on A and 2**p - b on B
         const = b - 1 if side == "A" else b
         v = v2(const) if const % 2 == 0 else 0
         want_even_d = v % 2 == 1
-        small_primes = [p for p in range(2, v + 1) if is_prime(p) == "prime"]
         for d in divisors:
             if (d % 2 == 0) == want_even_d:
                 surviving.append((side, d, c))
-                continue
-            checks = []
-            if small_primes:
-                eq = RNEquation(d, c, known_squarefree=True)
-                for p in small_primes:
-                    s = solution_at(eq, p)
-                    checks.append((p, s))
-                    if s is not None:
-                        forced.add(p)
-            pruning.append((side, d, c, v, tuple(checks)))
+            else:
+                pruning.append((side, d, c, v))
     # divisors come increasing and side A first, so branches are in (side, d) order
-    return BranchGeneration(tuple(surviving), tuple(pruning), tuple(sorted(forced)))
+    return BranchGeneration(tuple(surviving), tuple(pruning))
 
 
 class CandidateCheck(NamedTuple):
@@ -406,7 +392,6 @@ def decide(delta: int, budget: int = DEFAULT_BUDGET) -> DecisionReport:
 
     candidate_ps = {s.n for br in branches for s in br.status.solutions
                     if is_prime(s.n) == "prime"}
-    candidate_ps.update(p for p in gen.forced_candidate_primes if p >= p_min)
     candidates = [check_candidate(p, delta) for p in sorted(candidate_ps)]
 
     for cand in candidates:

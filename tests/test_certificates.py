@@ -229,16 +229,18 @@ def check_report(report: dict) -> None:
     for pruned in report["certificates"]["parity_pruning"]:
         side, d = pruned["side"], pruned["d"]
         covered.add((side, d))
+        assert pruned["c"] == (1 - b if side == "A" else b)
         const = b - 1 if side == "A" else b
         v = pruned["side_value_v2"]
         assert v == (0 if const % 2 else (const & -const).bit_length() - 1)
-        # the valuation argument really excludes this d for p > v
+        # the valuation argument really excludes this d for p > v, and every
+        # exponent p <= v lies below the floor
         assert (d % 2 == 0) != (v % 2 == 1)
-        checked = {chk["p"] for chk in pruned["small_prime_checks"]}
-        assert checked == {p for p in range(2, v + 1) if naive_is_prime(p)}
-        for chk in pruned["small_prime_checks"]:
-            assert exact_solution(d, pruned["c"], chk["p"]) == chk["solution"]
+        assert v < p_min
     assert covered == {(s, d) for s in ("A", "B") for d in divisors}
+    # and each pair is listed once
+    assert len(report["branches"]) + len(report["certificates"]["parity_pruning"]) == \
+        2 * len(divisors)
 
     for branch in report["branches"]:
         assert branch["c"] == (1 - b if branch["side"] == "A" else b)
@@ -283,15 +285,16 @@ def test_certificates_replay_for_worked_deltas():
         check_report(report)
 
 
-def test_certificates_replay_for_every_in_scope_delta_below_b_300():
+def test_certificates_replay_for_every_in_scope_delta_below_b_3000():
+    # the benchmark scan's range: every report it decides is replayed
     verdicts = []
-    for b in range(3, 300):
+    for b in range(3, 3000):
         delta = b * (b - 1) // 2
         if delta % 4 == 3:
             report = json.loads(decide(delta).to_json())
             check_report(report)
             verdicts.append(report["verdict"])
-    assert len(verdicts) == 75 and {"eliminated", "inconclusive"} <= set(verdicts)
+    assert len(verdicts) == 750 and {"eliminated", "inconclusive"} <= set(verdicts)
 
 
 def test_certificates_replay_for_the_large_deltas():
@@ -380,6 +383,58 @@ def test_checker_rejects_each_altered_sieve_certificate():
                 bad_report["branches"] = [bad if br == branch else br for br in report["branches"]]
                 with pytest.raises(AssertionError):
                     check_report(bad_report)
+
+
+def _altered_pruning(report: dict) -> list[dict]:
+    """Copies of a report, each with its parity-pruning certificate altered."""
+    pruning = report["certificates"]["parity_pruning"]
+    first = pruning[0]
+    # a surviving branch on the first pruned entry's side: its d has the kept parity
+    kept = next(br for br in report["branches"] if br["side"] == first["side"])
+    out = []
+    for i in range(len(pruning)):
+        for shift in (1, 2):
+            out.append(copy.deepcopy(report))
+            out[-1]["certificates"]["parity_pruning"][i]["side_value_v2"] += shift
+        out.append(copy.deepcopy(report))
+        del out[-1]["certificates"]["parity_pruning"][i]
+    swapped = copy.deepcopy(report)
+    swapped["certificates"]["parity_pruning"][0]["d"] = kept["d"]
+    swapped["branches"].remove(kept)
+    moved = copy.deepcopy(report)
+    moved["branches"].remove(kept)
+    moved["certificates"]["parity_pruning"].append({
+        **{key: first[key] for key in ("side", "c", "side_value_v2", "reason")},
+        "d": kept["d"]})
+    shifted = copy.deepcopy(report)
+    shifted["certificates"]["parity_pruning"][0]["c"] += 1
+    repeated = copy.deepcopy(report)
+    repeated["certificates"]["parity_pruning"].append(first)
+    # a d of the pruned parity that is no divisor
+    listed = {e["d"] for e in pruning} | {br["d"] for br in report["branches"]}
+    foreign = copy.deepcopy(report)
+    foreign["certificates"]["parity_pruning"][0]["d"] = next(
+        d for d in range(first["d"] + 2, 1000, 2) if d not in listed)
+    return out + [swapped, moved, shifted, repeated, foreign]
+
+
+def test_checker_rejects_each_altered_parity_pruning():
+    # a valuation off by one or two, a dropped entry, a pruned d swapped to
+    # the kept parity with that branch removed, a surviving branch moved into
+    # the pruning, a wrong side constant, a repeated entry and a d that
+    # divides nothing: the checker accepts each report as rendered and no
+    # altered copy
+    for delta in (55, 231):
+        report = json.loads(decide(delta).to_json())
+        check_report(report)
+        pruning = report["certificates"]["parity_pruning"]
+        assert {e["side_value_v2"] for e in pruning} == {0, 1}
+        assert all(set(e) == {"side", "d", "c", "side_value_v2", "reason"} for e in pruning)
+        altered = _altered_pruning(report)
+        assert len(altered) == 3 * len(pruning) + 5
+        for bad in altered:
+            with pytest.raises(AssertionError):
+                check_report(bad)
 
 
 def test_the_cited_row_is_the_only_completeness_table_entry():

@@ -55,7 +55,6 @@ def test_generate_branches_b6():
     assert {(p["side"], p["d"]) for p in gen.pruned} == {
         ("A", 2), ("A", 22), ("B", 1), ("B", 11),
     }
-    assert gen.forced_candidate_primes == ()
 
 
 def test_generate_branches_b3():
@@ -337,7 +336,21 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "37d41148b98cf513ced08c9b748318b6860a1c48a32a88428a1d706cae059645"
+        "eb7655bf4b2b8dc933d2e9430fc0e651c31f343053d7b87fc38c642f52c2daae"
+
+
+def test_no_pruned_exponent_reaches_the_floor():
+    # the parity pruning holds for p > v, v = v2(b - 1) on side A and v2(b)
+    # on side B; no exponent p <= v needs a check because v < p_min, and an
+    # in-scope b has v <= 1 on both sides
+    def v2(n):
+        return (n & -n).bit_length() - 1
+
+    for b in range(3, 100_001):
+        delta = b * (b - 1) // 2
+        assert max(v2(b - 1), v2(b)) < decider._min_exponent(delta), b
+        if delta % 4 == 3:
+            assert b % 8 in (3, 6), b
 
 
 def test_min_exponent_is_the_least_prime_past_delta():
@@ -371,11 +384,11 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "c2731eacc8f76770e85025a757cc6b161a4090cf67f4bb2088271907395fa5bb"
+        "42f0f396ea742495d969c216e7d498eb27bb5fc671b15fb2de904cc09fc9a537"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "8b6f808d8399a5bbf843511ac10f26308fff700a0f8c3862951c05820e331b68"
+        "f08b3f8d178481d8bbab6800a8c0ca21ea9b8f448f9fe9c3d32b4691ab9b9e5c"
 
 
 def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):
