@@ -3,9 +3,9 @@
 2-adic valuation, primality, budgeted factorization, divisor sums, and
 the perfect/triangular-number predicates everything else is built on.
 
-Factoring has one setting, `budget`: the Brent-rho iterations one
-factorization may spend, at least 1 (DEFAULT_BUDGET unless given).  Trial
-division always runs to the constant TRIAL_DIVISION_BOUND.
+Factoring has one path and one setting: the primes below 100 are divided
+out, and Brent rho splits whatever is left within `budget` iterations, at
+least 1 (DEFAULT_BUDGET unless given).
 
 Primality is deterministic for n < 318665857834031151167461 (the strong
 pseudoprime bound for the first twelve prime bases, comfortably above
@@ -38,7 +38,6 @@ class _Checked:
         return cls(*iterable)
 
 
-TRIAL_DIVISION_BOUND = 1_000_000
 MILLER_RABIN_ROUNDS = 40
 DEFAULT_BUDGET = 10_000_000  # Brent-rho iterations per factorization
 
@@ -161,47 +160,12 @@ def is_prime(n: int) -> str:
     return "probably_prime"
 
 
-def _trial_divide(n: int) -> tuple[dict[int, int], int, bool]:
-    """Strip prime factors up to min(TRIAL_DIVISION_BOUND, isqrt(n)) with a 6k+-1 wheel.
-
-    A cofactor above bound**2 that is_prime does not call composite has no
-    prime factor up to the bound, so the wheel stops there, and the third
-    value says so: the cofactor is then a (probable) prime that needs no
-    second test.  The test runs before the wheel and after each division,
-    never per wheel step; below bound**2 the wheel's own isqrt stop comes
-    first.
-    """
-    bound = TRIAL_DIVISION_BOUND
-    bound_sq = bound * bound
-    found: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    if n > bound_sq and is_prime(n) != "composite":
-        return found, n, True
-    p = 5
-    while p <= bound and p * p <= n:
-        for q in (p, p + 2):
-            if q > bound:
-                break
-            while n % q == 0:
-                found[q] = found.get(q, 0) + 1
-                n //= q
-                if n > bound_sq and is_prime(n) != "composite":
-                    return found, n, True
-        p += 6
-    return found, n, False
-
-
 def _brent_rho(n: int, budget: list[int]) -> int | None:
-    """One Brent-cycle factor attempt; returns a nontrivial divisor or None.
+    """One Brent-cycle factor attempt on odd composite n; a nontrivial divisor or None.
 
     Decrements budget[0] by the number of polynomial iterations spent.
     Fully deterministic: the polynomial constant walks 1, 2, 3, ...
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 32):
         if budget[0] <= 0:
             return None
@@ -244,18 +208,22 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
 
 @lru_cache(maxsize=512)
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n within `budget` rho iterations; exhaustion yields complete=False, never an error."""
+    """Factor n: divide out the primes below 100, then split the rest by Brent rho.
+
+    Rho works within `budget` iterations; exhaustion yields complete=False,
+    never an error.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if budget < 1:
         raise ValueError(f"the factor budget must be >= 1, got {budget}")
-    if n == 1:
-        return Factorization(1, (), True)
 
-    found, rest, rest_is_prime = _trial_divide(n)
-    if rest_is_prime:
-        found[rest] = 1  # above bound**2, so no factor found so far equals it
-        rest = 1
+    found: dict[int, int] = {}
+    rest = n
+    for p in _SMALL_PRIMES:
+        while rest % p == 0:
+            found[p] = found.get(p, 0) + 1
+            rest //= p
 
     left = [budget]
     unfactored = 1
@@ -294,32 +262,6 @@ def is_perfect(n: int, budget: int = DEFAULT_BUDGET) -> str:
     if not f.complete:
         return "unknown"
     return "perfect" if sigma(f) == 2 * n else "not_perfect"
-
-
-def order_of_two(m: int, budget: int = DEFAULT_BUDGET) -> int:
-    """ord_m(2), the least k >= 1 with 2**k = 1 (mod m), for odd m >= 1.
-
-    The order divides phi(m), so it is phi(m) with each prime of phi(m)
-    divided out for as long as 2 stays a root of unity.  Needs complete
-    factorizations of m and phi(m).
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"order_of_two requires an odd m >= 1, got {m}")
-
-    def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-        f = factorize(n, budget)
-        if not f.complete:
-            raise FactorBudgetError(f"cannot find ord_{m}(2): factorization of {n} incomplete")
-        return f.factors
-
-    phi = 1
-    for q, e in prime_powers(m):
-        phi *= (q - 1) * q ** (e - 1)
-    order = phi
-    for q, _ in prime_powers(phi):
-        while order % q == 0 and pow(2, order // q, m) == 1:
-            order //= q
-    return order
 
 
 def triangular_index(delta: int) -> int | None:

@@ -39,7 +39,7 @@ class _UsageError(Exception):
 
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factor-budget", type=int, default=DEFAULT_BUDGET,
-                   help="Brent-rho iterations per factorization past trial division "
+                   help="Brent-rho iterations per factorization, past the primes below 100 "
                         "(at least 1, default 10^7)")
 
 

@@ -21,7 +21,6 @@ from . import mersenne
 from .arith import (
     DEFAULT_BUDGET,
     MILLER_RABIN_ROUNDS,
-    TRIAL_DIVISION_BOUND,
     FactorBudgetError,
     is_perfect,
     is_prime,
@@ -66,15 +65,14 @@ def canonical_json(obj) -> str:
 def config(budget: int) -> dict:
     """Everything decide() depends on besides delta: the Brent-rho `budget`
     and the fixed constants of the method (sieve moduli, search bound,
-    trial-division bound, Miller-Rabin rounds, exponent cap, odd-perfect
-    bound and the one cited row of rn.BUILTIN_TABLE).  The fingerprint
-    hashes it, so changing any one of them invalidates older scan records.
+    Miller-Rabin rounds, exponent cap, odd-perfect bound and the one cited
+    row of rn.BUILTIN_TABLE).  The fingerprint hashes it, so changing any
+    one of them invalidates older scan records.
     """
     return {
         "moduli": list(DEFAULT_MODULI),
         "n_max": DEFAULT_N_MAX,
-        "budget": {"trial_division_bound": TRIAL_DIVISION_BOUND,
-                   "rho_iteration_budget": budget,
+        "budget": {"rho_iteration_budget": budget,
                    "primality_rounds": MILLER_RABIN_ROUNDS},
         "exponent_cap": mersenne.DEFAULT_EXPONENT_CAP,
         "odd_perfect_log10_bound": ODD_PERFECT_LOG10_BOUND,

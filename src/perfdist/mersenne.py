@@ -1,4 +1,4 @@
-"""Mersenne-prime testing and even-perfect-number construction.
+"""Mersenne-prime testing for the exponents of even perfect numbers.
 
 Every even perfect number is 2**(p-1) * (2**p - 1) with 2**p - 1 prime,
 so deciding "is there an even perfect number with exponent p" reduces to
@@ -12,10 +12,6 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime
-
-# Mersenne exponents up to 31: an oracle table for cross-checks only; no
-# verdict reads it, every status comes from running the test itself.
-KNOWN_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31)
 
 # Lucas-Lehmer on 2**p - 1 costs p-2 squarings of p-bit numbers; the cap
 # keeps a single call bounded without FFT multiplication.
@@ -85,11 +81,3 @@ def classify(p: int) -> str:
     if small_factor(p) is not None:
         return "composite"
     return lucas_lehmer(p)
-
-
-def even_perfect(p: int) -> int:
-    """The even perfect number 2**(p-1) * (2**p - 1); classifies 2**p - 1 first."""
-    status = classify(p)
-    if status != "prime":
-        raise ValueError(f"2**{p} - 1 is {status}; no even perfect number at this exponent")
-    return (1 << (p - 1)) * ((1 << p) - 1)

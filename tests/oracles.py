@@ -7,6 +7,10 @@ from scanning x and recognizing powers of two bitwise.
 
 from math import isqrt
 
+# The Mersenne exponents up to 31, from the literature: 2**p - 1 is prime
+# for exactly these p <= 31.
+MERSENNE_EXPONENTS_TO_31 = (2, 3, 5, 7, 13, 17, 19, 31)
+
 
 def divisor_sum_naive(n: int) -> int:
     """Sum of divisors by paired enumeration up to sqrt(n)."""
@@ -39,6 +43,33 @@ def prime_sieve(limit: int) -> bytearray:
         if sieve[p]:
             sieve[p * p:limit + 1:p] = b"\x00" * len(range(p * p, limit + 1, p))
     return sieve
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n] is the least prime factor of n, for 2 <= n <= limit (spf[0] = spf[1] = 0)."""
+    spf = list(range(limit + 1))
+    spf[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def prime_divisors_naive(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, increasing, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -12,18 +12,23 @@ from perfdist.arith import (
     is_perfect,
     is_prime,
     is_squarefree,
-    order_of_two,
     sigma,
     squarefree_divisors,
     triangular_index,
     v2,
 )
 
-from oracles import divisor_sum_naive, prime_sieve, sigma_table, trial_division_is_prime
+from oracles import (
+    divisor_sum_naive,
+    prime_sieve,
+    sigma_table,
+    smallest_prime_factors,
+    trial_division_is_prime,
+)
 
-# two primes (both 1 mod 4) just above the trial-division bound 10^6;
-# their product resists a crippled rho budget, which is how "unknown"
-# paths get exercised
+# two primes (both 1 mod 4) just above 10^6; with nothing below 100 to
+# divide out, their product resists a crippled rho budget, which is how
+# "unknown" paths get exercised
 HARD_P, HARD_Q = 1_000_033, 1_000_037
 TINY_BUDGET = 1
 
@@ -103,70 +108,41 @@ def test_factorize_budget_exhaustion():
                 factorize(m, bad)
 
 
-def _full_wheel(n: int, monkeypatch) -> tuple[dict, int, bool]:
-    # trial division with the prime-cofactor exit switched off
-    with monkeypatch.context() as m:
-        m.setattr(arith, "is_prime", lambda _: "composite")
-        return arith._trial_divide(n)
+def test_factorize_matches_a_smallest_prime_factor_sieve():
+    # every 2(2b - 1) of an in-scope b < 10^5, prime squares and cubes that
+    # only rho can split, and mixed products of small and large primes
+    spf = smallest_prime_factors(4 * 10**5)
 
+    def by_sieve(n):
+        out = {}
+        while n > 1:
+            out[spf[n]] = out.get(spf[n], 0) + 1
+            n //= spf[n]
+        return out
 
-def test_trial_division_early_exit_matches_full_wheel(monkeypatch):
-    # the exit needs a cofactor above bound^2, so the bound is cut to 1000; the bound
-    # is not part of factorize's cache key, so the cache is cleared before and after
-    monkeypatch.setattr(arith, "TRIAL_DIVISION_BOUND", 1000)
-    factorize.cache_clear()
-    big = 10**30 + 57  # a probable prime
-    cases = {
-        "large prime times small primes": (big * 2**5 * 3 * 7**2 * 997,
-                                           {2: 5, 3: 1, 7: 2, 997: 1, big: 1}),
-        "prime power above bound^2": (997**7, {997: 7}),
-        "prime power times a large prime": (991**3 * big, {991: 3, big: 1}),
-        "two primes near the bound": (997 * 1009, {997: 1, 1009: 1}),
-        "two primes above the bound": (1009 * 1013, {1009: 1, 1013: 1}),
-        "composite cofactor": (5 * 1009 * 1013 * 1019, {5: 1, 1009: 1, 1013: 1, 1019: 1}),
-        "composite cofactor with a large prime": (3 * 7 * 1013 * big,
-                                                  {3: 1, 7: 1, 1013: 1, big: 1}),
-    }
-    # with the bound at 1000 the wheel never tries 1009, so factorize finds it by rho
-    assert arith._trial_divide(1009 * 1013) == ({}, 1009 * 1013, False)
-    try:
-        for name, (n, expected) in cases.items():
-            found, rest, rest_is_prime = arith._trial_divide(n)
-            assert (found, rest) == _full_wheel(n, monkeypatch)[:2], name
-            assert rest_is_prime == (rest == big), name
-            # factorize goes on from (found, rest) and the flag alone, so its result is the same too
+    for b in range(3, 10**5):
+        if b * (b - 1) // 2 % 4 == 3:
+            n = 2 * (2 * b - 1)
             f = factorize(n)
-            assert f.complete and dict(f.factors) == expected, name
-    finally:
-        factorize.cache_clear()
-
-
-def test_trial_division_stops_at_a_prime_cofactor(monkeypatch):
-    big = 10**30 + 57
-    asked = []
-    said = {}  # verdicts the spy reports in place of is_prime's
-
-    def spy(n):
-        asked.append(n)
-        return said.get(n) or is_prime(n)
-
-    monkeypatch.setattr(arith, "is_prime", spy)
-    # checked once after 2 and 3 are stripped: the wheel never starts
-    assert arith._trial_divide(12 * big) == ({2: 2, 3: 1}, big, True)
-    assert asked == [big]
-    # any verdict but "composite" stops the wheel, shown here by one that
-    # leaves the factor 1009 unfound
-    for verdict in ("prime", "probably_prime"):
-        said[1009 * big] = verdict
-        assert arith._trial_divide(1009 * big) == ({}, 1009 * big, True)
-        assert arith._trial_divide(5 * 1009 * big) == ({5: 1}, 1009 * big, True)
-    # checked after each division, and not while the cofactor is below bound^2
-    asked.clear()
-    assert arith._trial_divide(5**3 * 7 * big) == ({5: 3, 7: 1}, big, True)
-    assert asked == [5**3 * 7 * big, 5**2 * 7 * big, 5 * 7 * big, 7 * big, big]
-    asked.clear()
-    assert arith._trial_divide(5**3 * 1009) == ({5: 3}, 1009, False)
-    assert asked == []
+            assert f.complete and dict(f.factors) == by_sieve(n), n
+    for p in range(101, 20_000):
+        if spf[p] == p:
+            for e in (2, 3):
+                f = factorize(p**e)
+                assert f.complete and f.factors == ((p, e),), (p, e)
+    big = 10**30 + 57  # a probable prime
+    cases = (
+        (big * 2**5 * 3 * 7**2 * 997, {2: 5, 3: 1, 7: 2, 997: 1, big: 1}),
+        (997**7, {997: 7}),
+        (991**3 * big, {991: 3, big: 1}),
+        (997 * 1009, {997: 1, 1009: 1}),
+        (1009 * 1013, {1009: 1, 1013: 1}),
+        (5 * 1009 * 1013 * 1019, {5: 1, 1009: 1, 1013: 1, 1019: 1}),
+        (3 * 7 * 1013 * big, {3: 1, 7: 1, 1013: 1, big: 1}),
+    )
+    for n, expected in cases:
+        f = factorize(n)
+        assert f.complete and dict(f.factors) == expected, n
 
 
 def test_factorize_tests_a_prime_cofactor_once(monkeypatch):
@@ -182,10 +158,6 @@ def test_factorize_tests_a_prime_cofactor_once(monkeypatch):
     f = factorize(12 * big)
     assert f.complete and f.factors == ((2, 2), (3, 1), (big, 1))
     assert asked.count(big) == 1
-    # a cofactor the wheel leaves below bound^2 is still tested by factorize
-    asked.clear()
-    assert factorize(5**3 * 1009).factors == ((5, 3), (1009, 1))
-    assert asked == [1009]
 
 
 def test_factorize_random_reconstruction():
@@ -210,22 +182,6 @@ def test_factorization_invariants_enforced():
         Factorization(10, ((2, 1), (3, 1)), False)  # 6 does not divide 10
     Factorization(12, ((2, 2), (3, 1)), True)
     assert Factorization(12, ((2, 2),), False).cofactor == 3
-
-
-def test_order_of_two():
-    # 2^k - 1 has order exactly k; 999983 is prime, 3 * 5^3 * 7^2 mixes prime powers
-    for k in range(1, 21):
-        assert order_of_two((1 << k) - 1) == k
-    for m in (999983, 3 * 5**3 * 7**2):
-        k, v = 1, 2 % m
-        while v != 1:
-            k, v = k + 1, v * 2 % m
-        assert order_of_two(m) == k, m
-    for bad in (0, -3, 2, 12):
-        with pytest.raises(ValueError):
-            order_of_two(bad)
-    with pytest.raises(FactorBudgetError):
-        order_of_two(HARD_P * HARD_Q, TINY_BUDGET)
 
 
 def test_sigma_examples():

@@ -119,8 +119,8 @@ def test_verify_pair(capsys):
 
 
 def test_factor_budget_settles_the_hard_semiprime_delta(capsys):
-    # 2b - 1 = 1000033 * 1000037, two primes past the trial-division bound: only
-    # Brent rho can split it, and one iteration cannot
+    # 2b - 1 = 1000033 * 1000037, two primes above 97: only Brent rho can
+    # split it, and one iteration cannot
     semiprime = 1_000_033 * 1_000_037
     b = (semiprime + 1) // 2
     delta = str(b * (b - 1) // 2)

@@ -23,9 +23,9 @@ from perfdist.decider import (
     generate_branches,
     verify_pair,
 )
-from perfdist.mersenne import KNOWN_MERSENNE_EXPONENTS, even_perfect, lucas_lehmer
+from perfdist.mersenne import lucas_lehmer
 
-from oracles import divisor_sum_naive, trial_division_is_prime
+from oracles import MERSENNE_EXPONENTS_TO_31, divisor_sum_naive, trial_division_is_prime
 
 
 def test_case_analysis_examples():
@@ -144,7 +144,7 @@ def test_check_candidate_settles_by_odd_perfect_bound():
 
 def test_odd_perfect_bound_boundary():
     limit = 10**ODD_PERFECT_LOG10_BOUND
-    m = even_perfect(3217)
+    m = decider._ep_value(3217)
     factorize.cache_clear()
     below = check_candidate(3217, m - (limit - 1))
     assert below.n_candidate == limit - 1
@@ -266,8 +266,8 @@ def test_decide_soundness_against_known_perfect_numbers():
             continue
         eliminated += 1
         assert is_perfect(delta + 6) != "perfect"
-        for p in KNOWN_MERSENNE_EXPONENTS:
-            m = even_perfect(p)
+        for p in MERSENNE_EXPONENTS_TO_31:
+            m = decider._ep_value(p)
             if m - delta >= 1:
                 assert is_perfect(m - delta) != "perfect", (delta, p)
     assert eliminated >= 4  # 3, 11, 15 and at least one fresh elimination
@@ -315,13 +315,12 @@ def test_decide_rejects_a_factor_budget_below_1():
 
 def test_config_fingerprint_tracks_content():
     # scan records made under this fingerprint are reused on resume
-    assert fingerprint(DEFAULT_BUDGET) == "4a1e98322531e678"
+    assert fingerprint(DEFAULT_BUDGET) == "e1cae6345405ba87"
     # the odd-perfect bound is a hashed constant, not a setting
     assert config(DEFAULT_BUDGET)["odd_perfect_log10_bound"] == ODD_PERFECT_LOG10_BOUND == 1500
     assert fingerprint(999) != fingerprint(DEFAULT_BUDGET)
-    # the budget is the one factoring setting; the bound and rounds are hashed constants
-    assert config(DEFAULT_BUDGET)["budget"] == {
-        "trial_division_bound": 10**6, "rho_iteration_budget": 10**7, "primality_rounds": 40}
+    # the budget is the one factoring setting; the rounds are a hashed constant
+    assert config(DEFAULT_BUDGET)["budget"] == {"rho_iteration_budget": 10**7, "primality_rounds": 40}
 
 
 def test_reports_are_byte_identical_to_pinned_digest():
@@ -336,7 +335,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "eb7655bf4b2b8dc933d2e9430fc0e651c31f343053d7b87fc38c642f52c2daae"
+        "ac471bd34c6176efc5c96e245b1a03749d51fbaab955b9b1eceff7274a16822b"
 
 
 def test_no_pruned_exponent_reaches_the_floor():
@@ -384,11 +383,11 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "42f0f396ea742495d969c216e7d498eb27bb5fc671b15fb2de904cc09fc9a537"
+        "6ed78858abbe7b5a2fa4e1331e02bdb0219cd2961b3aefb6fe9d32229a598e5a"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "f08b3f8d178481d8bbab6800a8c0ca21ea9b8f448f9fe9c3d32b4691ab9b9e5c"
+        "ecaa98ea7ccde70194f66275423179635d24890b41b680f4ef7494c327be819d"
 
 
 def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):

@@ -1,16 +1,10 @@
 import pytest
 
-from perfdist.arith import is_perfect, is_prime
+from perfdist.arith import is_prime
 from perfdist.decider import check_candidate
-from perfdist.mersenne import (
-    KNOWN_MERSENNE_EXPONENTS,
-    classify,
-    even_perfect,
-    lucas_lehmer,
-    small_factor,
-)
+from perfdist.mersenne import classify, lucas_lehmer, small_factor
 
-from oracles import trial_division_is_prime
+from oracles import MERSENNE_EXPONENTS_TO_31, trial_division_is_prime
 
 
 def test_lucas_lehmer_examples():
@@ -26,8 +20,7 @@ def test_lucas_lehmer_matches_trial_division_up_to_31():
             continue
         expected = trial_division_is_prime(2**p - 1)
         assert (lucas_lehmer(p) == "prime") == expected, p
-        assert (p in KNOWN_MERSENNE_EXPONENTS) == expected
-    assert tuple(sorted(KNOWN_MERSENNE_EXPONENTS)) == (2, 3, 5, 7, 13, 17, 19, 31)
+        assert (p in MERSENNE_EXPONENTS_TO_31) == expected
 
 
 def test_lucas_lehmer_rejects_bad_exponents():
@@ -89,26 +82,3 @@ def test_check_candidate_skips_lucas_lehmer_when_a_factor_exists():
     c = check_candidate(10007, 3)
     assert (c.mersenne_status, c.mersenne_factor, c.outcome) == ("composite", 240169, "eliminated")
     assert lucas_lehmer.cache_info().misses == 0
-
-
-def test_even_perfect_examples():
-    assert even_perfect(2) == 6
-    assert even_perfect(3) == 28
-    assert even_perfect(7) == 8128
-
-
-def test_even_perfect_requires_mersenne_prime():
-    with pytest.raises(ValueError):
-        even_perfect(11)
-
-
-def test_even_perfect_values_are_perfect():
-    for p in (2, 3, 5, 7, 13, 17, 19):
-        assert is_perfect(even_perfect(p)) == "perfect"
-
-
-def test_even_perfect_mod_4_split():
-    # every even perfect number is 0 mod 4 except 6
-    assert even_perfect(2) % 4 == 2
-    for p in (3, 5, 7, 13):
-        assert even_perfect(p) % 4 == 0

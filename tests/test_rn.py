@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from perfdist import arith, rn
-from perfdist.arith import is_prime, is_squarefree, order_of_two
+from perfdist.arith import is_prime, is_squarefree
 from perfdist.rn import (
     BUILTIN_TABLE,
     DEFAULT_MODULI,
@@ -23,7 +23,7 @@ from perfdist.rn import (
     solution_at,
 )
 
-from oracles import brute_rn_solutions
+from oracles import brute_rn_solutions, prime_divisors_naive
 
 
 def random_equations(seed, count, d_max=30, c_max=50):
@@ -124,11 +124,16 @@ def test_power_cycle_reproduces_powers_of_two():
 
 
 def test_power_cycle_agrees_with_order_of_two_near_the_modulus_bound():
-    # the walk of 2^k against the factoring order_of_two, on moduli of up to
-    # MAX_MODULUS where the walk is longest
+    # the walk of 2^k against the definition of ord_m(2), on moduli of up to
+    # MAX_MODULUS where the walk is longest: 2^period = 1 (mod odd), and no
+    # period / q does for a prime q | period
     for m in (999983, 999999, 524287, 3 << 18, rn.MAX_MODULUS):
         t = (m & -m).bit_length() - 1
-        assert power_cycle.__wrapped__(m) == (t, order_of_two(m >> t)), m
+        odd = m >> t
+        threshold, period = power_cycle.__wrapped__(m)
+        assert threshold == t and pow(2, period, odd) == 1 % odd, m
+        for q in prime_divisors_naive(period):
+            assert pow(2, period // q, odd) != 1, (m, q)
     assert power_cycle(524287) == (0, 19) and power_cycle(3 << 18) == (18, 2)
 
 
@@ -148,7 +153,7 @@ def test_sieve_start_up_factors_nothing(monkeypatch):
     # a factorization: with every cache cleared and factoring forbidden, a
     # branch still runs through all 14 moduli and the lift to 27720
     eq = RNEquation(1, 7)  # checking d squarefree factors it, so before the ban
-    forbidden = (arith.factorize, arith.order_of_two)
+    factorize = arith.factorize
 
     def refuse(*args, **kwargs):
         raise AssertionError("the sieve start-up factored a number")
@@ -156,7 +161,7 @@ def test_sieve_start_up_factors_nothing(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name == "perfdist" or name.startswith("perfdist."):
             for attr, value in list(vars(module).items()):
-                if any(value is f for f in forbidden):
+                if value is factorize:
                     monkeypatch.setattr(module, attr, refuse)
     for cached in (power_cycle, rn._modulus_tables, rn._sieve_plan, rn._tile):
         cached.cache_clear()
