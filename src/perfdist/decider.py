@@ -127,11 +127,11 @@ class Branch(NamedTuple):
 
 
 class BranchGeneration(NamedTuple):
-    """Surviving branches plus the facts behind every pruned (side, d) pair.
+    """Surviving branches plus the one parity fact behind each side's pruning.
 
     `surviving` holds (side, d, c) per surviving pair and `pruning` holds
-    (side, d, c, v) per pruned pair, where v is the side value's 2-adic
-    valuation for p > v.  `pruned` renders the pruning facts on each read.
+    (side, c, v) per side, where v is the side value's 2-adic valuation for
+    p > v.  `pruned` renders the pruning facts on each read.
     """
 
     surviving: tuple[tuple, ...]
@@ -141,37 +141,33 @@ class BranchGeneration(NamedTuple):
     def pruned(self) -> tuple[dict, ...]:
         # the side value is 2**p - c: 2**p + (b - 1) on A, 2**p - b on B
         return tuple({
-            "side": side, "d": d, "c": c, "side_value_v2": v,
+            "side": side, "c": c, "side_value_v2": v,
             "reason": (f"v2(2^p {'+' if side == 'A' else '-'} {abs(c)}) = {v} for p > {v}, "
-                       f"while v2(d*x^2) = {v2(d)} mod 2 != {v} mod 2"),
-        } for side, d, c, v in self.pruning)
+                       f"while v2(d*x^2) = v2(d) mod 2: only d with v2(d) = {v} mod 2 survive"),
+        } for side, c, v in self.pruning)
 
 
 def generate_branches(b: int, budget: int = DEFAULT_BUDGET) -> BranchGeneration:
     """Enumerate squarefree divisors of 2*(2b-1) per side and prune by 2-adic parity.
 
-    Side A's value 2**p - 1 + b and side B's 2**p - b have a fixed 2-adic
-    valuation v once p exceeds v, so v2(d) must match v mod 2 (x**2
-    contributes an even valuation).  No exponent p <= v needs a check:
-    2**v divides b - 1 or b, so 2**p <= b and 2**(p-1)*(2**p - 1) <=
-    b*(b-1)/2 = delta, which puts p below decide's exponent floor.
+    Side A's value 2**p - 1 + b and side B's 2**p - b, that is 2**p - c,
+    have the fixed 2-adic valuation v = v2(c) once p exceeds v, so v2(d)
+    must match v mod 2 (x**2 contributes an even valuation).  No exponent
+    p <= v needs a check: 2**v divides b - 1 or b, so 2**p <= b and
+    2**(p-1)*(2**p - 1) <= b*(b-1)/2 = delta, which puts p below decide's
+    exponent floor.
     """
     if b < 3:
         raise ValueError("triangular index must be >= 3")
     divisors = squarefree_divisors(2 * (2 * b - 1), budget)
     surviving = []
     pruning = []
-    for side in ("A", "B"):
-        c = 1 - b if side == "A" else b
-        # side value is 2**p + (b - 1) on A and 2**p - b on B
-        const = b - 1 if side == "A" else b
-        v = v2(const) if const % 2 == 0 else 0
-        want_even_d = v % 2 == 1
+    for side, c in (("A", 1 - b), ("B", b)):
+        v = v2(c)
+        pruning.append((side, c, v))
         for d in divisors:
-            if (d % 2 == 0) == want_even_d:
+            if d % 2 != v % 2:
                 surviving.append((side, d, c))
-            else:
-                pruning.append((side, d, c, v))
     # divisors come increasing and side A first, so branches are in (side, d) order
     return BranchGeneration(tuple(surviving), tuple(pruning))
 
@@ -199,16 +195,7 @@ class CandidateCheck(NamedTuple):
         return "unresolved"
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "mersenne_status": self.mersenne_status,
-            "mersenne_factor": self.mersenne_factor,
-            "m": self.m,
-            "n_candidate": self.n_candidate,
-            "perfect_status": self.perfect_status,
-            "rule": self.rule,
-            "outcome": self.outcome,
-        }
+        return {**self._asdict(), "outcome": self.outcome}
 
 
 def _ep_value(p: int) -> int:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .arith import _Checked, is_prime, is_squarefree, v2
 
-# In the order analyze ANDs them, which reports and the config list: see _sieve_plan.
+# In the order analyze ANDs them, which the config lists: see _sieve_plan.
 # Their periods combine to 27720.  None divides another (solvable mod k means mod k's divisors).
 DEFAULT_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 DEFAULT_N_MAX = 2000
@@ -270,23 +270,17 @@ class BranchStatus(NamedTuple):
 
     @property
     def rule_trace(self) -> tuple[dict, ...]:
-        kept = [s.as_pair() for s in self.solutions]
+        # a trace holds its branch's facts only: the moduli are in the config, n_min and
+        # n_parity in the exponent floor, and the solutions on the branch
         if self.rule == "completeness_table":
-            return ({"rule": self.rule, "source": self.facts.source, "kept": kept,
+            return ({"rule": self.rule, "source": self.facts.source,
                      "complete_solutions": [s.as_pair() for s in sorted(self.facts.solutions)]},)
         n_min, mask, emptied_at, open_mask = self.facts
         n_parity, n_max = n_constraints(n_min)
-        steps, threshold, _, _, _ = _sieve_plan()
-        trace = [{"rule": "sieve", "moduli": list(DEFAULT_MODULI),
-                  "combined_period": steps[-1][1], "n_min": n_min, "n_parity": n_parity,
-                  "valid_from": max(n_min, threshold), "emptied_at": emptied_at,
-                  "open_classes": _set_bits(open_mask)}]
+        sieved = {"rule": "sieve", "emptied_at": emptied_at, "open_classes": _set_bits(open_mask)}
         if self.rule == "finite_checks":
-            trace.append({"rule": self.rule, "solutions": kept,
-                          "n_values": _finite_checks(n_min, n_parity, mask)})
-        else:
-            trace.append({"rule": self.rule, "n_min": n_min, "n_max": n_max, "solutions": kept})
-        return tuple(trace)
+            return sieved, {"rule": self.rule, "n_values": _finite_checks(n_min, n_parity, mask)}
+        return sieved, {"rule": self.rule, "n_max": n_max}
 
 
 @lru_cache(maxsize=None)

@@ -57,6 +57,13 @@ def naive_squarefree_divisors(n: int) -> set[int]:
     return divs
 
 
+def naive_v2(n: int) -> int:
+    e = 0
+    while n % 2 == 0:
+        n, e = n // 2, e + 1
+    return e
+
+
 def naive_power_cycle(m: int) -> tuple[int, int]:
     seen = {}
     v = 1 % m
@@ -94,7 +101,9 @@ def naive_classes(d: int, c: int, m: int) -> tuple[int, int, set[int]]:
 # --- certificate replay ----------------------------------------------------
 
 
-def check_branch(branch: dict, p_min: int, parity: str) -> None:
+def check_branch(branch: dict, moduli: list[int], p_min: int, parity: str) -> None:
+    """Replay one branch: the sieve moduli come from the report's config, and
+    p_min and the parity of n from its exponent floor."""
     d, c = branch["d"], branch["c"]
     trace = branch["rule_trace"]
     rules = [t["rule"] for t in trace]
@@ -110,25 +119,21 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         assert (d, c, head["complete_solutions"], head["source"]) == CITED_ROW
         for s in head["complete_solutions"]:
             assert exact_solution(d, c, s[1]) == s
-        kept = [s for s in head["complete_solutions"]
-                if s[1] >= p_min and parity_ok(s[1], parity)]
-        assert branch["solutions"] == head["kept"] == kept
+        assert branch["solutions"] == [s for s in head["complete_solutions"]
+                                       if s[1] >= p_min and parity_ok(s[1], parity)]
         return
 
     cert = trace[0]
     assert rules == ["sieve", "direct_search" if branch["status"] == "open" else "finite_checks"]
-    assert cert["moduli"] == MODULI
-    assert cert["n_min"] == p_min and cert["n_parity"] == parity
-    # n is prime: from 3 on it is odd
-    assert parity == ("odd" if p_min > 2 else "any")
 
     # the classes of each modulus, intersected in order and lifted one
     # modulus at a time: a residue r mod K stands for r, r + K, ... mod
     # lcm(K, period), each kept iff its class mod the modulus's period
-    # survived; no residue is tested twice
+    # survived; no residue is tested twice.  The combined period K and
+    # valid_from, past which every n lies in a class, follow from the moduli
     period, surviving = 2, [r for r in range(2) if parity_ok(r, parity)]
     valid_from, emptied_at = p_min, None
-    for m in cert["moduli"]:
+    for m in moduli:
         threshold, m_period, classes = naive_classes(d, c, m)
         lifted = lcm(period, m_period)
         surviving = sorted(r for r0 in surviving for r in range(r0, lifted, period)
@@ -136,8 +141,6 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
         period, valid_from = lifted, max(valid_from, threshold)
         if not surviving and emptied_at is None:
             emptied_at = m
-    assert cert["combined_period"] == period
-    assert cert["valid_from"] == valid_from
     assert cert["emptied_at"] == emptied_at
 
     # n is prime: a class r with g = gcd(r, K) > 1 holds at most the prime g
@@ -146,24 +149,19 @@ def check_branch(branch: dict, p_min: int, parity: str) -> None:
     assert (branch["status"] == "open") == bool(open_classes)
 
     if branch["status"] == "closed_finite_n":
-        finite = trace[1]
         must_check = {n for n in range(p_min, valid_from) if parity_ok(n, parity)}
         # a prime the closed classes hold at or past valid_from is checked too
         must_check |= {r for r in surviving if r >= valid_from and naive_is_prime(r)
                        and gcd(r, period) == r}
-        assert finite["n_values"] == sorted(must_check)
-        expected = [s for n in sorted(must_check)
-                    if (s := exact_solution(d, c, n)) is not None]
-        assert finite["solutions"] == expected
-        assert branch["solutions"] == expected
+        assert trace[1]["n_values"] == sorted(must_check)
+        assert branch["solutions"] == [s for n in sorted(must_check)
+                                       if (s := exact_solution(d, c, n)) is not None]
         return
 
     # an open branch lists every solution up to its bound, each exponent tested
-    search = trace[1]
-    expected = [s for n in range(p_min, search["n_max"] + 1)
-                if parity_ok(n, parity) and (s := exact_solution(d, c, n)) is not None]
-    assert search["n_min"] == p_min and search["solutions"] == expected
-    assert branch["solutions"] == sorted(expected)
+    assert branch["solutions"] == [s for n in range(p_min, trace[1]["n_max"] + 1)
+                                   if parity_ok(n, parity)
+                                   and (s := exact_solution(d, c, n)) is not None]
 
 
 def check_perfectness(report: dict, entry: dict, value: int, decisive: bool) -> None:
@@ -221,30 +219,27 @@ def check_report(report: dict) -> None:
     check_perfectness(report, d6, delta + 6, decisive=True)
 
     p_min, parity = check_exponent_floor(report)
-    assert report["config"]["moduli"] == MODULI
+    moduli = report["config"]["moduli"]
+    assert moduli == MODULI
 
-    # branch coverage: surviving + pruned = sides x squarefree divisors
-    divisors = naive_squarefree_divisors(2 * (2 * b - 1))
-    covered = {(br["side"], br["d"]) for br in report["branches"]}
-    for pruned in report["certificates"]["parity_pruning"]:
-        side, d = pruned["side"], pruned["d"]
-        covered.add((side, d))
-        assert pruned["c"] == (1 - b if side == "A" else b)
-        const = b - 1 if side == "A" else b
-        v = pruned["side_value_v2"]
-        assert v == (0 if const % 2 else (const & -const).bit_length() - 1)
-        # the valuation argument really excludes this d for p > v, and every
-        # exponent p <= v lies below the floor
-        assert (d % 2 == 0) != (v % 2 == 1)
-        assert v < p_min
-    assert covered == {(s, d) for s in ("A", "B") for d in divisors}
-    # and each pair is listed once
-    assert len(report["branches"]) + len(report["certificates"]["parity_pruning"]) == \
-        2 * len(divisors)
+    # branch coverage: one parity claim per side, in side order; on each side
+    # the surviving d are exactly the squarefree divisors d of 2(2b - 1) with
+    # v2(d) = v mod 2, where v = v2(c) is the valuation of the side value
+    # 2^p - c for p > v, and every exponent p <= v lies below the floor
+    divisors = sorted(naive_squarefree_divisors(2 * (2 * b - 1)))
+    pruning = report["certificates"]["parity_pruning"]
+    assert [e["side"] for e in pruning] == ["A", "B"]
+    expected = []
+    for e in pruning:
+        v = e["side_value_v2"]
+        assert e["c"] == (1 - b if e["side"] == "A" else b)
+        assert v == naive_v2(e["c"]) and v < p_min
+        expected += [(e["side"], d) for d in divisors if naive_v2(d) % 2 == v % 2]
+    assert [(br["side"], br["d"]) for br in report["branches"]] == expected
 
     for branch in report["branches"]:
         assert branch["c"] == (1 - b if branch["side"] == "A" else b)
-        check_branch(branch, p_min, parity)
+        check_branch(branch, moduli, p_min, parity)
 
     # every prime exponent exhibited by a branch must have been checked
     exhibited = {s[1] for br in report["branches"] for s in br["solutions"]
@@ -307,28 +302,19 @@ def test_certificates_replay_for_the_large_deltas():
         p_min, parity = check_exponent_floor(report)
         assert report["config"]["moduli"] == MODULI and report["branches"]
         for branch in report["branches"]:
-            check_branch(branch, p_min, parity)
+            check_branch(branch, MODULI, p_min, parity)
             statuses.add(branch["status"])
     assert {"closed_finite_n", "open"} <= statuses
 
 
 def _altered(branch: dict) -> list[dict]:
-    """Copies of a sieved branch, each with one certificate field altered."""
+    """Copies of a sieved branch, each with one of its own facts altered."""
     cert, last = branch["rule_trace"][0], branch["rule_trace"][-1]
-    moduli, open_classes = cert["moduli"], cert["open_classes"]
-    extra = next(r for r in range(1, cert["combined_period"])
-                 if gcd(r, cert["combined_period"]) == 1 and r not in open_classes)
+    open_classes, period = cert["open_classes"], lcm(2, *(naive_power_cycle(m)[1] for m in MODULI))
+    extra = next(r for r in range(1, period) if gcd(r, period) == 1 and r not in open_classes)
     changes = [
         (0, "emptied_at", None if cert["emptied_at"] else 43),
         (0, "emptied_at", 9 if cert["emptied_at"] == 64 else 64),
-        (0, "valid_from", cert["valid_from"] + 1),
-        (0, "valid_from", cert["n_min"]),
-        (0, "n_parity", "any" if cert["n_parity"] == "odd" else "odd"),
-        (0, "combined_period", cert["combined_period"] // 2),
-        (0, "moduli", moduli[:-1]),
-        (0, "moduli", moduli[1:]),
-        (0, "moduli", [moduli[1], moduli[0], *moduli[2:]]),
-        (0, "moduli", [*moduli[:6], moduli[7], moduli[6], *moduli[8:]]),
         (0, "open_classes", sorted([*open_classes, extra])),
     ]
     if open_classes:
@@ -342,6 +328,23 @@ def _altered(branch: dict) -> list[dict]:
         altered = copy.deepcopy(branch)
         altered["rule_trace"][index][field] = value
         out.append(altered)
+    if branch["solutions"]:
+        out.append({**copy.deepcopy(branch), "solutions": branch["solutions"][:-1]})
+    return out
+
+
+def _altered_shared(report: dict) -> list[dict]:
+    """Copies of a report, each with the moduli of its config or the parity of
+    its exponent floor altered: the facts every sieve certificate reads."""
+    moduli, floor = report["config"]["moduli"], report["certificates"]["exponent_floor"]
+    out = []
+    for changed in (moduli[:-1], moduli[1:], [moduli[1], moduli[0], *moduli[2:]],
+                    [*moduli[:6], moduli[7], moduli[6], *moduli[8:]]):
+        out.append(copy.deepcopy(report))
+        out[-1]["config"]["moduli"] = changed
+    out.append(copy.deepcopy(report))
+    out[-1]["certificates"]["exponent_floor"]["n_parity"] = \
+        "any" if floor["n_parity"] == "odd" else "odd"
     return out
 
 
@@ -369,28 +372,39 @@ def test_checker_rejects_each_altered_sieve_certificate():
     assert by_primes["rule_trace"][-1]["n_values"] == [3, 5, 7]
     for branch, report in cases:
         p_min, parity = check_exponent_floor(report) if report else (3, "odd")
-        check_branch(branch, p_min, parity)
+        check_branch(branch, MODULI, p_min, parity)
         if report:
             check_report(report)
         altered = _altered(branch)
-        assert len(altered) >= 11
+        assert len(altered) >= 5
         for bad in altered:
             with pytest.raises(AssertionError):
-                check_branch(bad, p_min, parity)
+                check_branch(bad, MODULI, p_min, parity)
             if report:
                 # and the report check rejects the report that carries it
                 bad_report = copy.deepcopy(report)
                 bad_report["branches"] = [bad if br == branch else br for br in report["branches"]]
                 with pytest.raises(AssertionError):
                     check_report(bad_report)
+    # the moduli and the parity of n are stated once per report, and altering
+    # either is rejected there
+    for report in (report_3, report_15, report_55):
+        altered = _altered_shared(report)
+        assert len(altered) == 5
+        for bad in altered:
+            with pytest.raises(AssertionError):
+                check_report(bad)
 
 
 def _altered_pruning(report: dict) -> list[dict]:
-    """Copies of a report, each with its parity-pruning certificate altered."""
+    """Copies of a report, each with its parity-pruning certificate or its
+    coverage altered."""
     pruning = report["certificates"]["parity_pruning"]
     first = pruning[0]
-    # a surviving branch on the first pruned entry's side: its d has the kept parity
+    # a surviving branch on the first side, and a copy of it whose d, a
+    # divisor too, has the parity that side prunes
     kept = next(br for br in report["branches"] if br["side"] == first["side"])
+    pruned_d = kept["d"] * 2 if kept["d"] % 2 else kept["d"] // 2
     out = []
     for i in range(len(pruning)):
         for shift in (1, 2):
@@ -398,40 +412,32 @@ def _altered_pruning(report: dict) -> list[dict]:
             out[-1]["certificates"]["parity_pruning"][i]["side_value_v2"] += shift
         out.append(copy.deepcopy(report))
         del out[-1]["certificates"]["parity_pruning"][i]
-    swapped = copy.deepcopy(report)
-    swapped["certificates"]["parity_pruning"][0]["d"] = kept["d"]
-    swapped["branches"].remove(kept)
-    moved = copy.deepcopy(report)
-    moved["branches"].remove(kept)
-    moved["certificates"]["parity_pruning"].append({
-        **{key: first[key] for key in ("side", "c", "side_value_v2", "reason")},
-        "d": kept["d"]})
-    shifted = copy.deepcopy(report)
-    shifted["certificates"]["parity_pruning"][0]["c"] += 1
     repeated = copy.deepcopy(report)
     repeated["certificates"]["parity_pruning"].append(first)
-    # a d of the pruned parity that is no divisor
-    listed = {e["d"] for e in pruning} | {br["d"] for br in report["branches"]}
-    foreign = copy.deepcopy(report)
-    foreign["certificates"]["parity_pruning"][0]["d"] = next(
-        d for d in range(first["d"] + 2, 1000, 2) if d not in listed)
-    return out + [swapped, moved, shifted, repeated, foreign]
+    shifted = copy.deepcopy(report)
+    # a wrong c of the same valuation: each side's v is 0 or 1 here
+    shifted["certificates"]["parity_pruning"][0]["c"] += 4
+    removed = copy.deepcopy(report)
+    removed["branches"].remove(kept)
+    added = copy.deepcopy(report)
+    added["branches"].insert(0, {**copy.deepcopy(kept), "d": pruned_d})
+    return out + [repeated, shifted, removed, added]
 
 
 def test_checker_rejects_each_altered_parity_pruning():
-    # a valuation off by one or two, a dropped entry, a pruned d swapped to
-    # the kept parity with that branch removed, a surviving branch moved into
-    # the pruning, a wrong side constant, a repeated entry and a d that
-    # divides nothing: the checker accepts each report as rendered and no
+    # a valuation off by one or two, a dropped side, a repeated side, a wrong
+    # side constant, a surviving branch removed and a branch of the pruned
+    # parity added: the checker accepts each report as rendered and no
     # altered copy
     for delta in (55, 231):
         report = json.loads(decide(delta).to_json())
         check_report(report)
         pruning = report["certificates"]["parity_pruning"]
-        assert {e["side_value_v2"] for e in pruning} == {0, 1}
-        assert all(set(e) == {"side", "d", "c", "side_value_v2", "reason"} for e in pruning)
+        assert [(e["side"], e["side_value_v2"] % 2) for e in pruning] in (
+            [("A", 0), ("B", 1)], [("A", 1), ("B", 0)])
+        assert all(set(e) == {"side", "c", "side_value_v2", "reason"} for e in pruning)
         altered = _altered_pruning(report)
-        assert len(altered) == 3 * len(pruning) + 5
+        assert len(altered) == 3 * len(pruning) + 4
         for bad in altered:
             with pytest.raises(AssertionError):
                 check_report(bad)
@@ -452,18 +458,18 @@ def test_checker_accepts_only_the_cited_row():
     # that drops (5, 7), and one for 2x^2 + 6 = 2^n in delta = 15's report
     report_3, report_15 = (json.loads(decide(delta).to_json()) for delta in (3, 15))
     row = _branch(report_3, "B", 5)
-    check_branch(row, 2, "any")
+    check_branch(row, MODULI, 2, "any")
     other_source, dropped = copy.deepcopy(row), copy.deepcopy(row)
     other_source["rule_trace"][0]["source"] = "a proof"
     dropped["solutions"] = [[1, 3]]
-    dropped["rule_trace"][0].update(kept=[[1, 3]], complete_solutions=[[1, 3]])
+    dropped["rule_trace"][0]["complete_solutions"] = [[1, 3]]
     b2 = _branch(report_15, "B", 2)
     cited = {**b2, "status": "closed_complete", "rule_trace": [{
-        "rule": "completeness_table", "kept": [[1, 3]], "complete_solutions": [[1, 3]],
+        "rule": "completeness_table", "complete_solutions": [[1, 3]],
         "source": "elementary 2-adic descent: 2x^2 + 6 = 2^n has only (x,n) = (1,3)"}]}
     for bad, p_min, parity in ((other_source, 2, "any"), (dropped, 2, "any"), (cited, 3, "odd")):
         with pytest.raises(AssertionError):
-            check_branch(bad, p_min, parity)
+            check_branch(bad, MODULI, p_min, parity)
     for bad, report, branch in ((other_source, report_3, row), (cited, report_15, b2)):
         bad_report = copy.deepcopy(report)
         bad_report["branches"] = [bad if br == branch else br for br in report["branches"]]

@@ -208,9 +208,10 @@ def test_sieve_trace_entries_are_built_only_on_serialization(tmp_path, capsys, m
     code, _, _ = run_cli(capsys, "scan", "--b-from", "3", "--b-to", "299", "--jobs", "1",
                          "--out", str(tmp_path / "scan.jsonl"))
     assert code == 0 and calls == [] and not built
-    # per delta: sieve, finite_checks and direct_search entries and pruning certificates
-    for delta, counts in ((55, (8, 6, 2, 8)), (171, (4, 4, 0, 4)),
-                          (44551, (8, 7, 1, 8)), (4492503, (16, 14, 2, 16))):
+    # per delta: sieve, finite_checks and direct_search entries and pruning
+    # certificates, one of those per side
+    for delta, counts in ((55, (8, 6, 2, 2)), (171, (4, 4, 0, 2)),
+                          (44551, (8, 7, 1, 2)), (4492503, (16, 14, 2, 2))):
         report = decide(delta)
         assert calls == [] and not built
         parsed = json.loads(report.to_json())

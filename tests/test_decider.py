@@ -52,9 +52,10 @@ def test_generate_branches_b6():
     assert list(gen.surviving) == [
         ("A", 1, -5), ("A", 11, -5), ("B", 2, 6), ("B", 22, 6),
     ]
-    assert {(p["side"], p["d"]) for p in gen.pruned} == {
-        ("A", 2), ("A", 22), ("B", 1), ("B", 11),
-    }
+    # one parity claim per side: v2(-5) = 0 prunes the even d of A, v2(6) = 1 the odd d of B
+    assert [(p["side"], p["c"], p["side_value_v2"]) for p in gen.pruned] == [
+        ("A", -5, 0), ("B", 6, 1),
+    ]
 
 
 def test_generate_branches_b3():
@@ -70,14 +71,15 @@ def test_generate_branches_cover_the_divisor_cross_product():
     for b in range(3, 40):
         gen = generate_branches(b)
         divisors = squarefree_divisors(2 * (2 * b - 1))
-        expected = {(side, d) for side in ("A", "B") for d in divisors}
-        got = {(side, d) for side, d, _ in gen.surviving}
-        got |= {(p["side"], p["d"]) for p in gen.pruned}
-        assert got == expected, b
+        # each side keeps the divisors of one parity and prunes the others
+        expected = []
+        assert [p["side"] for p in gen.pruned] == ["A", "B"], b
         for p in gen.pruned:
-            assert "side_value_v2" in p and "reason" in p
-        for side, _, c in gen.surviving:
-            assert c == (1 - b if side == "A" else b)
+            side, c, v = p["side"], p["c"], p["side_value_v2"]
+            assert c == (1 - b if side == "A" else b) and "reason" in p
+            assert c % (1 << v) == 0 and c >> v & 1, b
+            expected += [(side, d, c) for d in divisors if (d % 2 == 0) == (v % 2 == 1)]
+        assert list(gen.surviving) == expected, b
 
 
 def test_branch_divisors_are_squarefree():
@@ -85,7 +87,6 @@ def test_branch_divisors_are_squarefree():
     for b in range(3, 300):
         gen = generate_branches(b)
         assert all(is_squarefree(d) for _, d, _ in gen.surviving), b
-        assert all(is_squarefree(pr["d"]) for pr in gen.pruned), b
 
 
 def test_generate_branches_validation():
@@ -335,7 +336,7 @@ def test_reports_are_byte_identical_to_pinned_digest():
         if delta % 4 == 3:
             digest.update(decide(delta).to_json().encode("ascii") + b"\n")
     assert digest.hexdigest() == \
-        "ac471bd34c6176efc5c96e245b1a03749d51fbaab955b9b1eceff7274a16822b"
+        "353e50610004185fd2beef0d38913ad8227bff2c5be0e489d027adb1a63800e7"
 
 
 def test_no_pruned_exponent_reaches_the_floor():
@@ -383,11 +384,11 @@ def test_reports_are_byte_identical_over_the_benchmark_ranges():
         return h.hexdigest()
 
     assert digest(b for b in range(3, 3000) if b * (b - 1) // 2 % 4 == 3) == \
-        "6ed78858abbe7b5a2fa4e1331e02bdb0219cd2961b3aefb6fe9d32229a598e5a"
+        "cb312f5a9ab22557696779e509bd199ec3501874779097348d2dd5cf27a41548"
     # b = 2^p - 2x^2 with x odd and 2b - 1 prime forces the candidate exponent p
     family = [(1 << p) - 2 * x * x for p, x in ((127, 31), (61, 59), (89, 17), (107, 41))]
     assert digest([(1 << 55) + 3] + family) == \
-        "ecaa98ea7ccde70194f66275423179635d24890b41b680f4ef7494c327be819d"
+        "5b20440279199f71f5d02c2ca9091428b7b7c92c7f8c1e60e23e2bc8ce6e3f0c"
 
 
 def test_benchmark_scan_builds_at_most_5005_class_masks(monkeypatch):

@@ -36,7 +36,7 @@ SAMPLES = (
     lambda: case_analysis(15),
     lambda: Branch("B", 1, 7, BranchStatus(RNEquation(1, 7), "open", (RNSolution(1, 3),),
                                            "direct_search", (3, "odd", 1 << 3, False, 100))),
-    lambda: BranchGeneration((("A", 1, -5),), (("A", 2, -5, 0),)),
+    lambda: BranchGeneration((("A", 1, -5),), (("A", -5, 0),)),
     lambda: check_candidate(11, 15),
     lambda: verify_pair(28, 6),
     lambda: decide(15),

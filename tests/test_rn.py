@@ -343,8 +343,7 @@ def test_analyze_prime_closure_route():
     # the prime 2 lies below valid_from = 6, so the finite checks test it
     # and no class lists it again
     finite = st.rule_trace[-1]
-    assert finite == {"rule": "finite_checks", "n_values": [0, 1, 2, 3, 4, 5],
-                      "solutions": [[2, 2]]}
+    assert finite == {"rule": "finite_checks", "n_values": [0, 1, 2, 3, 4, 5]}
 
 
 def test_prime_classes_from_valid_from_on_go_to_the_finite_checks():
@@ -360,9 +359,9 @@ def test_prime_classes_from_valid_from_on_go_to_the_finite_checks():
     surviving = rn._set_bits(st.facts[1])
     assert len(surviving) == 10 and surviving[:3] == [7, 2527, 7567]
     assert {gcd(r, 27720) for r in surviving} == {7}
-    assert (sieved["n_parity"], sieved["valid_from"]) == ("odd", 6)
-    assert (sieved["emptied_at"], sieved["open_classes"]) == (None, [])
-    assert finite == {"rule": "finite_checks", "n_values": [3, 5, 7], "solutions": [[1, 7]]}
+    assert rn.n_constraints(3)[0] == "odd"
+    assert sieved == {"rule": "sieve", "emptied_at": None, "open_classes": []}
+    assert finite == {"rule": "finite_checks", "n_values": [3, 5, 7]}
     # past 7 the class holds no prime at all, and nothing is left to test
     st = analyze(eq, 8)
     assert st.status == "closed_finite_n" and st.solutions == ()
@@ -442,7 +441,7 @@ def _open_search_mismatches(equations, n_mins):
             open_branches += 1
             with_solutions += bool(st.solutions)
             ok = (st.solutions == expected
-                  and st.rule_trace[-1]["solutions"] == [s.as_pair() for s in expected])
+                  and st.rule_trace[-1] == {"rule": "direct_search", "n_max": n_max})
         if not ok:
             mismatches.append((eq, n_min))
     return open_branches, with_solutions, mismatches
@@ -548,15 +547,19 @@ def test_analyze_validation():
     # to period 27720, for odd n as for any
     assert [rn.n_constraints(n) for n in (0, 2, 3, 2000, 2003)] == [
         ("any", 2000), ("any", 2000), ("odd", 2000), ("odd", 2000), ("odd", 2003)]
+    periods = [rn.power_cycle(m)[1] for m in DEFAULT_MODULI]
+    assert rn._sieve_plan()[0][-1][1] == lcm(*periods) == 27720
     for n_min, parity in ((0, "any"), (3, "odd")):
-        sieved = analyze(RNEquation(1, -5), n_min).rule_trace[0]
-        assert (sieved["combined_period"], sieved["n_parity"]) == (27720, parity)
+        kept = rn._set_bits(analyze(RNEquation(1, 7), n_min).facts[1])
+        assert kept[-1] < 27720 and {r % 2 for r in kept} == ({0, 1} if parity == "any" else {1})
 
 
 def test_analyze_closures_never_miss_bruteforce_solutions():
     # at n_min = 0 the kept mask covers every n: each brute-force solution
     # lies in a kept class or below valid_from, an open branch finds them
-    # all, and a closed one every solution whose exponent is prime
+    # all, and a closed one every solution whose exponent is prime; at
+    # n_min = 0, valid_from is the sieve's threshold
+    threshold = rn._sieve_plan()[1]
     for eq in random_equations(31, 200):
         st = analyze(eq)
         brute = brute_rn_solutions(eq.d, eq.c, 25)
@@ -566,7 +569,7 @@ def test_analyze_closures_never_miss_bruteforce_solutions():
         else:
             assert found.issuperset((x, n) for x, n in brute if is_prime(n) == "prime"), eq
         if st.status != "closed_complete":
-            assert all(n < st.rule_trace[0]["valid_from"] or st.facts[1] >> n % 27720 & 1
+            assert all(n < threshold or st.facts[1] >> n % 27720 & 1
                        for _, n in brute), (eq, brute)
 
 
@@ -610,22 +613,17 @@ def test_analyze_sieve_trace_matches_uncached_sieve(monkeypatch):
     shifted = [(RNEquation(eq.d, eq.c + shift), n_min) for eq, n_min in cases]
 
     expected = {}
+    threshold = rn._sieve_plan()[1]
     # sieve() keeps nothing, so each reference sieves afresh
     for eq, n_min in cases + shifted:
         parity, _ = rn.n_constraints(n_min)
         reports = [sieve(eq, m, n_min, parity) for m in DEFAULT_MODULI]
         period, surviving, emptied_at = _parent_intersection(reports, parity)
+        # the periods and thresholds the entry leaves to its reader
+        assert (period, max(t.n_threshold for t in reports)) == (27720, threshold)
         open_classes = [r for r in surviving if gcd(r, period) == 1]
         expected[eq, n_min] = sum(1 << r for r in surviving), {
-            "rule": "sieve",
-            "moduli": list(DEFAULT_MODULI),
-            "combined_period": period,
-            "n_min": n_min,
-            "n_parity": parity,
-            "valid_from": max([n_min] + [t.n_threshold for t in reports]),
-            "emptied_at": emptied_at,
-            "open_classes": open_classes,
-        }
+            "rule": "sieve", "emptied_at": emptied_at, "open_classes": open_classes}
     kept = [entry for mask, entry in expected.values() if mask]
     assert len(kept) > 200 and sum(bool(entry["open_classes"]) for entry in kept) > 80
 
@@ -660,7 +658,7 @@ def test_branch_closed_by_the_first_anded_modulus_is_emptied_at_64(monkeypatch):
     assert st.status == "closed_finite_n" and finite["n_values"] == [3, 5]
     assert {m: list(masks) for m, masks in tables.items() if masks} == {64: [5 * 64 + 5]}
     assert tables[64][5 * 64 + 5] == 0
-    assert (sieved["emptied_at"], sieved["valid_from"], sieved["open_classes"]) == (64, 6, [])
+    assert sieved == {"rule": "sieve", "emptied_at": 64, "open_classes": []}
 
 
 def test_analyze_trace_shares_no_cached_lists():
@@ -668,9 +666,11 @@ def test_analyze_trace_shares_no_cached_lists():
     first = analyze(eq).rule_trace
     before = copy.deepcopy(first)
     first[0]["open_classes"].append(10**6)
-    first[0]["moduli"].append(10**6)
-    first[-1]["solutions"].append([1, 10**6])
     assert analyze(eq).rule_trace == tuple(before)
+    closed = RNEquation(5, -16)
+    finite = analyze(closed).rule_trace[-1]
+    finite["n_values"].append(10**6)
+    assert analyze(closed).rule_trace[-1]["n_values"] == [0, 1, 2, 3, 4, 5]
     moved = analyze(RNEquation(1, 7 + lcm(*DEFAULT_MODULI))).rule_trace
     assert moved[0] == before[0] and moved[0]["open_classes"]
 
@@ -690,10 +690,10 @@ def _sieve_misses(st, solutions, n_min):
         if st.status == "closed_complete":
             kept = s in st.solutions
         else:
-            sieved, last = st.rule_trace
+            last = st.rule_trace[-1]
             tested = (last["n_values"] if st.status == "closed_finite_n"
-                      else range(n_min, sieved["valid_from"]))
-            kept = s.n in tested or st.facts[1] >> s.n % sieved["combined_period"] & 1
+                      else range(n_min, max(n_min, rn._sieve_plan()[1])))
+            kept = s.n in tested or st.facts[1] >> s.n % 27720 & 1
         if is_prime(s.n) == "prime" and (st.status != "open" or s.n <= n_max):
             kept &= s in st.solutions
         if not kept:
